@@ -12,7 +12,6 @@
 // latency, ranges, retries, peers used) alongside the headline bytes.
 #include "bench_util.h"
 
-#include "ici/bootstrap.h"
 
 using namespace ici;
 using namespace ici::bench;
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
     store_totals += sum_store_counters(rapidchain->stores());
 
     auto ici = make_ici_preloaded(chain, kNodes, kIciClusters, /*replication=*/1, store);
-    const auto ic = core::Bootstrapper::join(*ici, {50, 50});
+    const auto ic = ici->bootstrap({50, 50});
     store_totals += sum_store_counters(ici->stores());
 
     const auto row = [&](const char* name, std::uint64_t bytes, sim::SimTime t,

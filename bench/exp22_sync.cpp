@@ -15,7 +15,6 @@
 // mid-sync regardless of chain height — no tuned magic constants.
 #include "bench_util.h"
 
-#include "ici/bootstrap.h"
 #include "metrics/registry.h"
 #include "sim/faults.h"
 
@@ -78,7 +77,7 @@ int main(int argc, char** argv) {
 
     const auto run_plan = [&](const char* plan_name) {
       auto net = make_ici_preloaded(chain, kNodes, kClusters, /*replication=*/1, store);
-      const cluster::NodeId joiner = core::Bootstrapper::add_joiner_nearest(*net, {50, 50});
+      const sim::NodeId joiner = net->add_sync_joiner({50, 50});
       const sim::SimTime now = net->simulator().now();
 
       if (std::string_view(plan_name) == "crash") {
@@ -97,7 +96,7 @@ int main(int argc, char** argv) {
         net->start_faults(plan);
       }
 
-      const auto r = core::Bootstrapper::run(*net, joiner, sync::SyncConfig{});
+      const auto r = net->bootstrap_added(joiner);
       const JoinerState state = capture_state(*net, joiner);
       store_totals += sum_store_counters(net->stores());
       if (std::string_view(plan_name) == "none") {

@@ -15,7 +15,6 @@
 // only by the simulated IO service times (--io-write-us / --io-read-us).
 #include "bench_util.h"
 
-#include "ici/bootstrap.h"
 #include "ici/retrieval.h"
 #include "storage/store_metrics.h"
 
@@ -56,7 +55,7 @@ int main(int argc, char** argv) {
     store.backend = std::string(backend);
 
     auto net = make_ici_preloaded(chain, kNodes, kClusters, /*replication=*/1, store);
-    const core::BootstrapReport join = core::Bootstrapper::join(*net, {50, 50});
+    const host::JoinReport join = net->bootstrap({50, 50});
     const core::RetrievalStats stats = core::RetrievalDriver::run(*net, kFetches, 99);
     const StoreCounters sc = sum_store_counters(net->stores());
     if (backend == "disk") disk_totals = sc;

@@ -14,7 +14,6 @@
 #include "chain/workload.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "ici/bootstrap.h"
 #include "ici/network.h"
 
 int main() {
@@ -63,7 +62,7 @@ int main() {
     core::IciNetwork net(cfg);
     net.init_with_genesis(chain.at_height(0));
     net.preload_chain(chain);
-    const auto report = core::Bootstrapper::join(net, {50, 50});
+    const auto report = net.bootstrap({50, 50});
     table.row({"icistrategy (m=20)", format_bytes(static_cast<double>(report.bytes_downloaded)),
                format_double(static_cast<double>(report.elapsed_us) / 1e6, 2),
                std::to_string(report.bodies_fetched), "headers + assigned share"});

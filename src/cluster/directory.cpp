@@ -120,17 +120,4 @@ void ClusterDirectory::remove_member(NodeId id) {
   index_by_id_[id] = kAbsent;
 }
 
-std::uint32_t ClusterDirectory::shard_of(NodeId id, std::size_t shards) const {
-  if (shards <= 1) return 0;
-  return static_cast<std::uint32_t>(cluster_of(id) % shards);
-}
-
-std::vector<std::uint32_t> ClusterDirectory::shard_map(std::size_t shards) const {
-  std::vector<std::uint32_t> lanes(cluster_by_id_.size(), 0);
-  for (NodeId id = 0; id < cluster_by_id_.size(); ++id) {
-    if (cluster_by_id_[id] != kAbsent) lanes[id] = shard_of(id, shards);
-  }
-  return lanes;
-}
-
 }  // namespace ici::cluster

@@ -49,13 +49,6 @@ class ClusterDirectory {
   /// Permanently removes a node (distinct from transient offline).
   void remove_member(NodeId id);
 
-  /// Event-lane (shard) of a node when the simulator runs `shards` lanes:
-  /// whole clusters map to one lane (cluster % shards), so intra-cluster
-  /// traffic — the bulk of ICI's messages — never crosses a lane boundary.
-  [[nodiscard]] std::uint32_t shard_of(NodeId id, std::size_t shards) const;
-  /// Node-id-indexed lane assignment for every current member.
-  [[nodiscard]] std::vector<std::uint32_t> shard_map(std::size_t shards) const;
-
  private:
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
 

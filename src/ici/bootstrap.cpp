@@ -1,16 +1,11 @@
 #include "ici/bootstrap.h"
 
-#include <algorithm>
 #include <limits>
-
-#include "sync/driver.h"
 
 namespace ici::core {
 
-cluster::NodeId Bootstrapper::add_joiner_nearest(IciNetwork& net, sim::Coord coord) {
-  // Pick the cluster whose members are nearest on average — the same
-  // latency-aware choice the clustering made for the original population.
-  auto& dir = net.directory();
+std::size_t Bootstrapper::nearest_cluster(const cluster::ClusterDirectory& dir,
+                                          sim::Coord coord) {
   std::size_t best_cluster = 0;
   double best_dist = std::numeric_limits<double>::max();
   for (std::size_t c = 0; c < dir.cluster_count(); ++c) {
@@ -27,54 +22,7 @@ cluster::NodeId Bootstrapper::add_joiner_nearest(IciNetwork& net, sim::Coord coo
       best_cluster = c;
     }
   }
-  return net.add_joiner(coord, best_cluster);
-}
-
-BootstrapReport Bootstrapper::run(IciNetwork& net, cluster::NodeId joiner,
-                                  const sync::SyncConfig& cfg) {
-  auto& dir = net.directory();
-  const std::size_t cluster = dir.cluster_of(joiner);
-  const sim::Coord coord = dir.info(joiner).coord;
-
-  // Frontier candidates: cluster peers by distance, probing a couple past
-  // the pull-peer budget so offline/slow peers don't starve the frontier.
-  std::vector<cluster::NodeId> candidates;
-  for (cluster::NodeId id : dir.members(cluster))
-    if (id != joiner) candidates.push_back(id);
-  std::sort(candidates.begin(), candidates.end(),
-            [&](cluster::NodeId a, cluster::NodeId b) {
-              const double da = sim::distance(coord, dir.info(a).coord);
-              const double db = sim::distance(coord, dir.info(b).coord);
-              if (da != db) return da < db;
-              return a < b;
-            });
-  const std::size_t probe = std::max<std::size_t>(cfg.max_peers * 2, 4);
-  if (candidates.size() > probe) candidates.resize(probe);
-
-  BootstrapReport report;
-  report.joiner = joiner;
-  report.cluster = cluster;
-  report.sync = sync::drive_join(net, joiner, cfg, candidates);
-  report.complete = report.sync.complete;
-  report.bodies_fetched = report.sync.bodies_committed;
-  report.elapsed_us = report.sync.time_to_synced_us;
-
-  // Wire-level totals come from the network's per-node tallies so coded
-  // reconstruction traffic (shard requests outside the session) counts too.
-  const sim::NodeTraffic& traffic = net.network().traffic(joiner);
-  report.bytes_downloaded = traffic.bytes_received;
-  report.bytes_uploaded = traffic.bytes_sent;
-  return report;
-}
-
-BootstrapReport Bootstrapper::join(IciNetwork& net, sim::Coord coord,
-                                   const sync::SyncConfig& cfg) {
-  const cluster::NodeId joiner = add_joiner_nearest(net, coord);
-  return run(net, joiner, cfg);
-}
-
-BootstrapReport Bootstrapper::join(IciNetwork& net, sim::Coord coord) {
-  return join(net, coord, sync::SyncConfig{});
+  return best_cluster;
 }
 
 }  // namespace ici::core

@@ -1,47 +1,20 @@
-// Bootstrap driver: runs the streaming bulk-sync join protocol end-to-end
-// inside the simulation and reports byte-accurate download cost and elapsed
-// time — the quantities experiment E05/E22 compare against full-replication
-// and RapidChain bootstrapping.
-//
-// The driver — not the joining node — owns the SyncCheckpoint, so a
-// FaultPlan crash window that kills the joiner mid-sync destroys only the
-// in-memory BulkPullSession; when the injector restarts the node, the
-// driver's status observer opens a new session over the same checkpoint and
-// the join resumes from the last verified range (docs/BOOTSTRAP.md).
+// Joiner placement for ICI: a new node joins the cluster whose members are
+// nearest on average — the same latency-aware choice the clustering made
+// for the original population. The join itself (bulk-sync driver,
+// crash/resume, byte-accurate report) is the host's
+// (host::Host::bootstrap, docs/BOOTSTRAP.md).
 #pragma once
 
-#include "ici/network.h"
-#include "sync/checkpoint.h"
+#include "cluster/directory.h"
+#include "sim/network.h"
 
 namespace ici::core {
 
-struct BootstrapReport {
-  cluster::NodeId joiner = 0;
-  std::size_t cluster = 0;
-  std::uint64_t bytes_downloaded = 0;
-  std::uint64_t bytes_uploaded = 0;
-  sim::SimTime elapsed_us = 0;
-  std::size_t bodies_fetched = 0;
-  bool complete = false;
-  /// Protocol-level detail (per-peer attribution, retries, resume count).
-  sync::SyncReport sync;
-};
-
 class Bootstrapper {
  public:
-  /// Adds a fresh node at `coord`, joins it to the cluster with the nearest
-  /// members, runs the join protocol to completion, and reports the cost.
-  /// The simulation must be quiescent when called.
-  [[nodiscard]] static BootstrapReport join(IciNetwork& net, sim::Coord coord);
-  [[nodiscard]] static BootstrapReport join(IciNetwork& net, sim::Coord coord,
-                                            const sync::SyncConfig& cfg);
-
-  /// Split entry points for fault experiments: add the node first (so a
-  /// FaultPlan can script crash windows on its id), start faults, then run.
-  [[nodiscard]] static cluster::NodeId add_joiner_nearest(IciNetwork& net,
-                                                         sim::Coord coord);
-  [[nodiscard]] static BootstrapReport run(IciNetwork& net, cluster::NodeId joiner,
-                                           const sync::SyncConfig& cfg);
+  /// Cluster with the smallest mean member distance to `coord`.
+  [[nodiscard]] static std::size_t nearest_cluster(const cluster::ClusterDirectory& dir,
+                                                   sim::Coord coord);
 };
 
 }  // namespace ici::core

@@ -129,13 +129,6 @@ void encode_body(ByteWriter& w, const BlockResponseMsg& m) {
   if (m.block) m.block->serialize_into(w);
 }
 
-void encode_body(ByteWriter& w, const HeadersRequestMsg& m) { w.u64(m.from_height); }
-
-void encode_body(ByteWriter& w, const HeadersResponseMsg& m) {
-  w.u32(static_cast<std::uint32_t>(m.headers.size()));
-  for (const BlockHeader& h : m.headers) h.serialize_into(w);
-}
-
 void encode_body(ByteWriter& w, const InventoryRequestMsg& m) {
   w.u32(static_cast<std::uint32_t>(m.hashes.size()));
   for (const Hash256& h : m.hashes) put_hash(w, h);
@@ -284,20 +277,6 @@ std::shared_ptr<IciMessage> decode_body(MsgKind kind, ByteReader& r) {
       }
       return m;
     }
-    case MsgKind::kHeadersRequest: {
-      auto m = std::make_shared<HeadersRequestMsg>();
-      m->from_height = r.u64();
-      return m;
-    }
-    case MsgKind::kHeadersResponse: {
-      auto m = std::make_shared<HeadersResponseMsg>();
-      const std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Bytes hdr = r.raw(BlockHeader::kWireSize);
-        m->headers.push_back(BlockHeader::deserialize(ByteSpan(hdr.data(), hdr.size())));
-      }
-      return m;
-    }
     case MsgKind::kInventoryRequest: {
       auto m = std::make_shared<InventoryRequestMsg>();
       const std::uint32_t n = r.u32();
@@ -404,12 +383,6 @@ Bytes encode_message(const IciMessage& msg) {
       break;
     case MsgKind::kBlockResponse:
       encode_body(w, static_cast<const BlockResponseMsg&>(msg));
-      break;
-    case MsgKind::kHeadersRequest:
-      encode_body(w, static_cast<const HeadersRequestMsg&>(msg));
-      break;
-    case MsgKind::kHeadersResponse:
-      encode_body(w, static_cast<const HeadersResponseMsg&>(msg));
       break;
     case MsgKind::kInventoryRequest:
       encode_body(w, static_cast<const InventoryRequestMsg&>(msg));

@@ -30,8 +30,6 @@ enum class MsgKind : std::uint8_t {
   kCommit,
   kBlockRequest,
   kBlockResponse,
-  kHeadersRequest,
-  kHeadersResponse,
   kInventoryRequest,
   kInventoryResponse,
   kBlockShard,
@@ -164,26 +162,7 @@ struct BlockResponseMsg final : IciMessage {
   [[nodiscard]] const char* type_name() const override { return "BlockResponse"; }
 };
 
-/// Header sync for bootstrap: "give me headers from height X".
-struct HeadersRequestMsg final : IciMessage {
-  std::uint64_t from_height = 0;
-
-  [[nodiscard]] MsgKind kind() const override { return MsgKind::kHeadersRequest; }
-  [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* type_name() const override { return "HeadersRequest"; }
-};
-
-struct HeadersResponseMsg final : IciMessage {
-  std::vector<BlockHeader> headers;
-
-  [[nodiscard]] MsgKind kind() const override { return MsgKind::kHeadersResponse; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 4 + headers.size() * BlockHeader::kWireSize;
-  }
-  [[nodiscard]] const char* type_name() const override { return "HeadersResponse"; }
-};
-
-/// "Which of these blocks do you hold?" — used by repair and bootstrap.
+/// "Which of these blocks do you hold?"
 struct InventoryRequestMsg final : IciMessage {
   std::vector<Hash256> hashes;
 

@@ -4,11 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
-#include "metrics/sim_metrics.h"
+#include "ici/bootstrap.h"
 #include "obs/trace.h"
-#include "storage/store_metrics.h"
-#include "sim/lbts.h"
-#include "sim/shard.h"
 
 namespace ici::core {
 
@@ -26,32 +23,18 @@ std::unique_ptr<cluster::Clusterer> make_clusterer(const std::string& name,
 
 }  // namespace
 
-IciNetwork::IciNetwork(IciNetworkConfig cfg) : cfg_(std::move(cfg)) {
+IciNetwork::IciNetwork(IciNetworkConfig cfg) : Host(cfg), cfg_(std::move(cfg)) {
   std::string why;
   if (!cfg_.ici.valid(&why)) throw std::invalid_argument("IciConfig: " + why);
   if (cfg_.node_count < cfg_.ici.cluster_count)
     throw std::invalid_argument("node_count must be >= cluster_count");
 
-  net_ = std::make_unique<sim::Network>(sim_, cfg_.net);
   infos_ = cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed,
                                       /*world_size=*/100.0, cfg_.heterogeneous_capacity);
 
   const auto clusterer = make_clusterer(cfg_.ici.clustering, cfg_.ici.seed);
   cluster::Clustering clustering = clusterer->cluster(infos_, cfg_.ici.cluster_count);
   directory_ = std::make_unique<cluster::ClusterDirectory>(infos_, std::move(clustering));
-
-  // Sharded event engine: whole clusters share a lane, so the dominant
-  // intra-cluster traffic never crosses a lane boundary. Configured before
-  // any node registers (the simulator requires an empty calendar).
-  shards_ = cfg_.shards == 0 ? sim::default_shards() : cfg_.shards;
-  if (shards_ > 1) {
-    sim_.configure_shards(shards_, sim::lookahead_from(cfg_.net));
-    sim_.set_barrier_hook([this] { flush_deferred_commits(); });
-    deferred_commits_.resize(shards_);
-  }
-  if (cfg_.sync_serve_rate_bps > 0.0)
-    serve_throttle_ = std::make_unique<sync::ServeThrottle>(cfg_.sync_serve_rate_bps);
-  store_runtime_ = std::make_unique<StoreRuntime>(cfg_.store);
 
   assigner_ =
       std::make_unique<cluster::RendezvousAssigner>(cfg_.ici.capacity_weighted_assignment);
@@ -61,37 +44,21 @@ IciNetwork::IciNetwork(IciNetworkConfig cfg) : cfg_(std::move(cfg)) {
                                                     cfg_.ici.erasure_parity);
   }
 
-  net_->reserve_nodes(infos_.size());
-  fleet_tally_.ensure_size(infos_.size());
+  // Whole clusters share an event lane, so the dominant intra-cluster
+  // traffic never crosses a lane boundary.
+  reserve_nodes(infos_.size());
   for (const cluster::NodeInfo& info : infos_) {
     IciNode& node = nodes_.emplace_back(*this, info.id);
-    const sim::NodeId assigned = net_->add_node(&node, info.coord);
-    if (assigned != info.id) throw std::logic_error("node id mismatch during registration");
-    if (shards_ > 1) sim_.set_node_lane(info.id, directory_->shard_of(info.id, shards_));
-    install_backend(node, info.id);
+    add_node(node, node.store(), info.coord, directory_->cluster_of(info.id));
   }
 
   // The newest network drives the trace sink's sim clock; the token keeps a
   // dying network from yanking a newer one's clock in multi-network benches.
   trace_clock_token_ =
-      obs::TraceSink::global().set_sim_clock([this] { return sim_.now(); });
+      obs::TraceSink::global().set_sim_clock([this] { return simulator().now(); });
 }
 
 IciNetwork::~IciNetwork() { obs::TraceSink::global().clear_sim_clock(trace_clock_token_); }
-
-void IciNetwork::install_backend(IciNode& node, NodeId id) {
-  std::unique_ptr<StorageBackend> backend = store_runtime_->make_backend(id);
-  if (!backend) return;  // mem: the store's built-in backend is already right
-  IoEnv env;
-  env.now = [this] { return sim_.now(); };
-  // Retirement events run on the owning node's lane: lane-local during
-  // parallel windows, so IO completions stay shard-invariant.
-  env.schedule_at = [this, id](std::uint64_t at, std::function<void()> fn) {
-    sim_.schedule_for(id, at, std::move(fn));
-  };
-  backend->set_io_env(std::move(env));
-  node.store().set_backend(std::move(backend));
-}
 
 std::vector<NodeId> IciNetwork::storers_of(const Hash256& hash, std::uint64_t height,
                                            std::size_t cluster, bool online_only) const {
@@ -154,8 +121,7 @@ NodeId IciNetwork::utxo_owner(const OutPoint& op, std::size_t cluster) const {
 }
 
 void IciNetwork::init_with_genesis(const Block& genesis) {
-  if (genesis_done_) throw std::logic_error("init_with_genesis called twice");
-  genesis_done_ = true;
+  begin_genesis();
   const Hash256 hash = genesis.hash();
 
   std::vector<erasure::Shard> genesis_shards;
@@ -207,7 +173,7 @@ std::vector<NodeId> IciNetwork::shard_holders(const Hash256& hash, std::uint64_t
 }
 
 void IciNetwork::disseminate(const Block& block) {
-  if (!genesis_done_) throw std::logic_error("call init_with_genesis first");
+  require_genesis();
   // Rotate through online proposers.
   NodeId proposer = cluster::kNoNode;
   for (std::size_t tries = 0; tries < nodes_.size(); ++tries) {
@@ -219,22 +185,8 @@ void IciNetwork::disseminate(const Block& block) {
   }
   if (proposer == cluster::kNoNode) throw std::runtime_error("no online proposer available");
 
-  progress_[block.hash()] = CommitProgress{0, sim_.now(), 0};
+  progress_[block.hash()] = CommitProgress{0, simulator().now(), 0};
   nodes_[proposer].propose(block);
-}
-
-void IciNetwork::settle() {
-  sim_.run();
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
-}
-
-void IciNetwork::run_for(sim::SimTime us) {
-  sim_.run_until(sim_.now() + us);
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
 }
 
 sim::SimTime IciNetwork::disseminate_and_settle(const Block& block) {
@@ -247,45 +199,24 @@ sim::SimTime IciNetwork::disseminate_and_settle(const Block& block) {
   return latency;
 }
 
-void IciNetwork::note_commit(std::size_t cluster, const Block& block) {
-  (void)cluster;
+void IciNetwork::note_commit(const Block& block) {
+  // Commit handlers on different lanes would race on progress_/committed_,
+  // so inside a parallel window the host buffers the record for the barrier.
   const Hash256 hash = block.hash();
-  if (sim_.in_parallel_phase()) {
-    // Commit handlers on different lanes would race on progress_/committed_;
-    // buffer the record and apply it at the barrier in (at, key) order —
-    // the same order the single-queue engine would have applied it.
-    const sim::Simulator::EventRef ev = sim_.current_event();
-    deferred_commits_[sim_.current_lane()].push_back(
-        {ev.at, ev.key, hash, block.header().height, block.serialized_size()});
-    return;
-  }
-  note_commit_now(hash, block.header().height, block.serialized_size(), sim_.now());
+  if (!defer(hash, block.header().height, block.serialized_size()))
+    apply_record({simulator().now(), 0, hash, block.header().height, block.serialized_size()});
 }
 
-void IciNetwork::note_commit_now(const Hash256& hash, std::uint64_t height,
-                                 std::size_t size_bytes, sim::SimTime at) {
-  auto& prog = progress_[hash];
+void IciNetwork::apply_record(const Record& commit) {
+  auto& prog = progress_[commit.hash];
   prog.clusters_committed += 1;
   if (prog.clusters_committed == 1) {
-    committed_index_.emplace(hash, committed_.size());
-    committed_.push_back({hash, height, size_bytes});
+    committed_index_.emplace(commit.hash, committed_.size());
+    committed_.push_back({commit.hash, commit.height, commit.size_bytes});
   }
   if (prog.clusters_committed == directory_->cluster_count()) {
-    prog.fully_committed_at = at;
+    prog.fully_committed_at = commit.at;
   }
-}
-
-void IciNetwork::flush_deferred_commits() {
-  std::vector<DeferredCommit> all;
-  for (auto& lane : deferred_commits_) {
-    all.insert(all.end(), lane.begin(), lane.end());
-    lane.clear();
-  }
-  if (all.empty()) return;
-  std::sort(all.begin(), all.end(), [](const DeferredCommit& a, const DeferredCommit& b) {
-    return a.at != b.at ? a.at < b.at : a.key < b.key;
-  });
-  for (const DeferredCommit& c : all) note_commit_now(c.hash, c.height, c.size_bytes, c.at);
 }
 
 sim::SimTime IciNetwork::full_commit_time(const Hash256& hash) const {
@@ -295,7 +226,7 @@ sim::SimTime IciNetwork::full_commit_time(const Hash256& hash) const {
 }
 
 void IciNetwork::preload_chain(const Chain& chain, bool build_tx_index) {
-  if (!genesis_done_) throw std::logic_error("call init_with_genesis first");
+  require_genesis();
   const std::size_t k = directory_->cluster_count();
 
   for (std::size_t h = 1; h < chain.blocks().size(); ++h) {
@@ -338,36 +269,23 @@ void IciNetwork::preload_chain(const Chain& chain, bool build_tx_index) {
 }
 
 void IciNetwork::start_churn(sim::ChurnConfig cfg) {
-  churn_ = std::make_unique<sim::ChurnModel>(*net_, cfg);
+  churn_ = std::make_unique<sim::ChurnModel>(network(), cfg);
   std::vector<NodeId> all;
   all.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) all.push_back(static_cast<NodeId>(i));
-  churn_->start(all, [this](NodeId id, bool online) { handle_churn_event(id, online); });
-}
-
-void IciNetwork::start_faults(const sim::FaultPlan& plan) {
-  if (faults_) throw std::logic_error("start_faults called twice");
-  faults_ = std::make_unique<sim::FaultInjector>(*net_, plan);
-  std::vector<NodeId> all;
-  all.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) all.push_back(static_cast<NodeId>(i));
-  faults_->start(all, [this](NodeId id, bool online) { handle_churn_event(id, online); });
+  churn_->start(all, [this](NodeId id, bool online) { status_changed(id, online); });
 }
 
 void IciNetwork::start_repair_daemon(sim::SimTime interval_us, sim::SimTime until_us) {
-  repair_daemon_ = std::make_unique<cluster::RepairDaemon>(sim_, interval_us, until_us, [this] {
+  repair_daemon_ = std::make_unique<cluster::RepairDaemon>(simulator(), interval_us, until_us, [this] {
     for (std::size_t c = 0; c < directory_->cluster_count(); ++c) repair_cluster(c);
   });
   repair_daemon_->start();
 }
 
-void IciNetwork::handle_churn_event(NodeId id, bool online) {
+void IciNetwork::on_status_change(NodeId id, bool online) {
   directory_->set_online(id, online);
-  metrics_.counter(online ? "churn.up" : "churn.down").inc();
   repair_cluster(directory_->cluster_of(id));
-  // Observers (e.g. a sync driver resuming a crashed joiner) run last, after
-  // the directory and repair reflect the flip.
-  if (status_observer_) status_observer_(id, online);
 }
 
 void IciNetwork::repair_cluster(std::size_t cluster) {
@@ -386,7 +304,7 @@ void IciNetwork::repair_cluster(std::size_t cluster) {
 
   for (const cluster::RepairAction& action : plan.actions) {
     nodes_[action.target].pull_from(action.source, action.block_hash);
-    metrics_.counter("repair.copies_started").inc();
+    metrics().counter("repair.copies_started").inc();
   }
 
   // Blocks every local holder lost: optionally restore them from another
@@ -412,11 +330,11 @@ void IciNetwork::repair_cluster(std::size_t cluster) {
           assigner_->storers(ref.hash, ref.height, alive, cfg_.ici.replication);
       if (want.empty()) continue;
       nodes_[want.front()].pull_from(source, ref.hash);
-      metrics_.counter("repair.cross_cluster_copies").inc();
+      metrics().counter("repair.cross_cluster_copies").inc();
       --unrecoverable;
     }
   }
-  metrics_.counter("repair.unavailable_blocks").inc(unrecoverable);
+  metrics().counter("repair.unavailable_blocks").inc(unrecoverable);
 }
 
 void IciNetwork::repair_cluster_coded(std::size_t cluster) {
@@ -448,7 +366,7 @@ void IciNetwork::repair_cluster_coded(std::size_t cluster) {
     }
     if (missing.empty()) continue;
     if (online_shards < d) {
-      metrics_.counter("repair.unavailable_blocks").inc();
+      metrics().counter("repair.unavailable_blocks").inc();
       continue;
     }
     // Replacements: alive members beyond the holder list, rendezvous order.
@@ -466,7 +384,7 @@ void IciNetwork::repair_cluster_coded(std::size_t cluster) {
       }
       if (replacement == cluster::kNoNode) break;  // cluster too small/busy
       nodes_[replacement].repair_shard(b.hash, b.height, index);
-      metrics_.counter("repair.shards_started").inc();
+      metrics().counter("repair.shards_started").inc();
     }
   }
 }
@@ -543,19 +461,12 @@ double IciNetwork::network_availability() const {
   return static_cast<double>(available) / static_cast<double>(committed_.size());
 }
 
-std::vector<const BlockStore*> IciNetwork::stores() const {
-  std::vector<const BlockStore*> out;
-  out.reserve(nodes_.size());
-  for (std::size_t id = 0; id < nodes_.size(); ++id) out.push_back(&nodes_[id].store());
-  return out;
-}
-
 StorageSnapshot IciNetwork::storage_snapshot() const {
   // Pure SoA scan: one pass over the contiguous tally rows, no node-object
   // pointer chasing. Matches IciNode::storage_bytes() per construction.
   StorageSnapshot snap;
   RunningStat stat;
-  for (const NodeStorageTally& t : fleet_tally_.slots()) {
+  for (const NodeStorageTally& t : fleet_tally().slots()) {
     const std::uint64_t bytes = t.body_bytes +
                                 static_cast<std::uint64_t>(t.header_count) *
                                     BlockHeader::kWireSize +
@@ -643,7 +554,7 @@ IciNetwork::ReconfigReport IciNetwork::reconfigure(std::uint64_t epoch_seed) {
         double best = std::numeric_limits<double>::max();
         for (NodeId h : holders) {
           if (!directory_->online(h)) continue;
-          const double d = net_->propagation_us(target, h);
+          const double d = network().propagation_us(target, h);
           if (d < best) {
             best = d;
             source = h;
@@ -651,7 +562,7 @@ IciNetwork::ReconfigReport IciNetwork::reconfigure(std::uint64_t epoch_seed) {
         }
         nodes_[target].pull_from(source, b.hash);
         ++report.copies_started;
-        metrics_.counter("reconfig.copies_started").inc();
+        metrics().counter("reconfig.copies_started").inc();
       }
     }
   }
@@ -675,7 +586,7 @@ std::uint64_t IciNetwork::prune_unassigned() {
       }
     }
   }
-  if (freed > 0) metrics_.counter("reconfig.prunes").inc();
+  if (freed > 0) metrics().counter("reconfig.prunes").inc();
   return freed;
 }
 
@@ -686,13 +597,24 @@ NodeId IciNetwork::add_joiner(sim::Coord coord, std::size_t cluster) {
   info.capacity = 1.0;
   infos_.push_back(info);
   directory_->add_member(info, cluster);
-  fleet_tally_.ensure_size(static_cast<std::size_t>(info.id) + 1);
   IciNode& node = nodes_.emplace_back(*this, info.id);
-  const sim::NodeId assigned = net_->add_node(&node, coord);
-  if (assigned != info.id) throw std::logic_error("joiner id mismatch");
-  if (shards_ > 1) sim_.set_node_lane(info.id, directory_->shard_of(info.id, shards_));
-  install_backend(node, info.id);
+  add_node(node, node.store(), coord, cluster);
   return info.id;
+}
+
+sim::NodeId IciNetwork::add_sync_joiner(sim::Coord coord) {
+  return add_joiner(coord, Bootstrapper::nearest_cluster(*directory_, coord));
+}
+
+std::vector<sim::NodeId> IciNetwork::join_candidates(sim::NodeId joiner,
+                                                     const sync::SyncConfig& cfg) {
+  // Cluster peers by distance, probing a couple past the pull-peer budget
+  // so offline/slow peers don't starve the frontier.
+  std::vector<sim::NodeId> members;
+  for (NodeId id : directory_->members(directory_->cluster_of(joiner)))
+    if (id != joiner) members.push_back(id);
+  return nearest(network().coord(joiner), std::move(members),
+                 std::max<std::size_t>(cfg.max_peers * 2, 4));
 }
 
 }  // namespace ici::core

@@ -1,6 +1,7 @@
 // IciNetwork: builds and owns a whole ICIStrategy deployment — topology,
-// clustering, the simulated network, one IciNode per participant — and gives
-// experiments a small driving API:
+// clustering, one IciNode per participant, assignment and repair — on the
+// host every strategy shares (host/host.h: simulator, network, stores,
+// faults, joins), and gives experiments a small driving API:
 //
 //   IciNetwork net(cfg);
 //   net.init_with_genesis(genesis);
@@ -19,45 +20,23 @@
 #include "cluster/repair.h"
 #include "common/arena.h"
 #include "erasure/rs.h"
+#include "host/host.h"
 #include "ici/node.h"
-#include "metrics/registry.h"
 #include "sim/churn.h"
-#include "sim/faults.h"
-#include "storage/fleet_tally.h"
-#include "storage/header_index.h"
 #include "storage/storage_meter.h"
-#include "storage/store_runtime.h"
-#include "sync/serve.h"
 
 namespace ici::core {
 
-struct IciNetworkConfig {
-  std::size_t node_count = 64;
+struct IciNetworkConfig : host::HostConfig {
   IciConfig ici;
-  sim::NetworkConfig net;
-  /// Geographic regions in the synthetic topology.
-  std::size_t regions = 5;
+  /// Draw per-node capacities in the synthetic topology (else all 1.0).
   bool heterogeneous_capacity = false;
-  std::uint64_t seed = 1;
-  /// Event shards (parallel lanes) for the simulator; whole clusters map to
-  /// one lane (cluster % shards). 0 means "use sim::default_shards()" (the
-  /// --shards flag); 1 runs the classic single-queue engine.
-  std::size_t shards = 0;
-  /// Serve-side bulk-sync rate limit per (server, peer) pair in bytes per
-  /// second of sim time; 0 disables throttling (--sync-serve-rate).
-  double sync_serve_rate_bps = 0.0;
-  /// Body-persistence backend per node (--store / --io-write-us /
-  /// --io-read-us). The default mem backend changes nothing.
-  StoreConfig store;
 };
 
-class IciNetwork {
+class IciNetwork final : public host::Host {
  public:
   explicit IciNetwork(IciNetworkConfig cfg);
-  ~IciNetwork();
-
-  IciNetwork(const IciNetwork&) = delete;
-  IciNetwork& operator=(const IciNetwork&) = delete;
+  ~IciNetwork() override;
 
   /// Installs the genesis block on every node (headers + assigned bodies +
   /// UTXO shards). Must be called exactly once before dissemination.
@@ -71,10 +50,6 @@ class IciNetwork {
   /// Ships `block` without waiting (pipelined dissemination).
   void disseminate(const Block& block);
 
-  /// Runs the simulator until no events remain, then refreshes the "sim.*"
-  /// event-core counters in metrics().
-  void settle();
-
   /// Statically installs an already-built chain (headers everywhere, bodies
   /// on assigned storers, shards updated) with no message traffic. Storage
   /// experiments use this to reach long chains quickly. Skips the genesis
@@ -87,21 +62,10 @@ class IciNetwork {
   /// repair protocol (actual copy traffic).
   void start_churn(sim::ChurnConfig cfg);
 
-  /// Installs a fault injector (crashes, drops, duplicates, partitions) over
-  /// the simulated network. Crash/restart transitions update the directory
-  /// and trigger repair just like churn. Call at most once, before running.
-  void start_faults(const sim::FaultPlan& plan);
-  [[nodiscard]] const sim::FaultInjector* faults() const { return faults_.get(); }
-
   /// Starts a background repair daemon: every `interval_us` of sim time a
   /// full repair pass runs over every cluster, re-replicating slices lost to
   /// crashes. Bounded by `until_us` so settle()'s drain terminates.
   void start_repair_daemon(sim::SimTime interval_us, sim::SimTime until_us);
-
-  /// Runs the simulator for `us` of simulated time (events may remain) and
-  /// refreshes the mirrored sim/fault counters. Fault experiments advance in
-  /// windows like this to sample availability over time.
-  void run_for(sim::SimTime us);
 
   /// Availability snapshot: fraction of (cluster, committed block) pairs
   /// with at least one online holder.
@@ -116,22 +80,10 @@ class IciNetwork {
   void repair_cluster(std::size_t cluster);
 
   // -- accessors used by IciNode and the experiment harnesses ------------
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] sim::Network& network() { return *net_; }
   [[nodiscard]] cluster::ClusterDirectory& directory() { return *directory_; }
   [[nodiscard]] const IciConfig& config() const { return cfg_.ici; }
-  [[nodiscard]] metrics::Registry& metrics() { return metrics_; }
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] IciNode& node(cluster::NodeId id) { return nodes_.at(id); }
   [[nodiscard]] const IciNode& node(cluster::NodeId id) const { return nodes_.at(id); }
-
-  /// The fleet-shared header table every node's BlockStore interns into.
-  [[nodiscard]] const std::shared_ptr<HeaderIndex>& header_index() const {
-    return header_index_;
-  }
-  /// Hot per-node storage scalars, contiguous by node id (see fleet_tally.h).
-  [[nodiscard]] FleetTally& fleet_tally() { return fleet_tally_; }
-  [[nodiscard]] const FleetTally& fleet_tally() const { return fleet_tally_; }
 
   /// Online storers responsible for a block within `cluster` (assignment
   /// over the full membership; offline assignees simply cannot serve).
@@ -162,20 +114,11 @@ class IciNetwork {
   [[nodiscard]] const std::vector<CommittedBlock>& committed() const { return committed_; }
 
   /// Called by heads when their cluster commits. Tracks per-block commit
-  /// coverage for dissemination latency measurements. During a parallel
-  /// shard window the record is buffered per lane and applied at the next
-  /// barrier in deterministic (at, key) order, so commit bookkeeping is
-  /// identical for every shard count.
-  void note_commit(std::size_t cluster, const Block& block);
-
-  /// Serve-side sync throttle, or nullptr when --sync-serve-rate is 0.
-  [[nodiscard]] sync::ServeThrottle* serve_throttle() { return serve_throttle_.get(); }
+  /// coverage for dissemination latency measurements.
+  void note_commit(const Block& block);
 
   /// Sim time when all clusters had committed `hash` (0 if not yet).
   [[nodiscard]] sim::SimTime full_commit_time(const Hash256& hash) const;
-
-  /// Per-node storage snapshot inputs (bodies + headers only).
-  [[nodiscard]] std::vector<const BlockStore*> stores() const;
 
   /// Fleet storage snapshot including erasure shards (what a node really
   /// persists). Prefer this over StorageMeter when coding may be on.
@@ -192,22 +135,15 @@ class IciNetwork {
                                                            std::uint64_t height,
                                                            std::size_t cluster) const;
 
-  /// Adds a brand-new node (used by the bootstrap protocol); returns its id.
-  /// The caller is responsible for running the join protocol.
+  /// Adds a brand-new node to `cluster`; returns its id. The caller is
+  /// responsible for running the join protocol.
   cluster::NodeId add_joiner(sim::Coord coord, std::size_t cluster);
+  /// add_joiner into the cluster whose members are nearest on average.
+  [[nodiscard]] sim::NodeId add_sync_joiner(sim::Coord coord) override;
 
   /// Marks a node byzantine/faulty for robustness experiments.
   void set_fault(cluster::NodeId id, FaultProfile profile) {
     nodes_.at(id).set_fault(profile);
-  }
-
-  /// Observer for online/offline flips from churn or fault injection, fired
-  /// after the directory updated and repair ran. Sync drivers use it to
-  /// abandon a crashed joiner's session and resume it on restart. Pass
-  /// nullptr to uninstall.
-  using StatusObserver = std::function<void(cluster::NodeId, bool online)>;
-  void set_status_observer(StatusObserver observer) {
-    status_observer_ = std::move(observer);
   }
 
   // -- epoch reconfiguration ------------------------------------------------
@@ -228,39 +164,24 @@ class IciNetwork {
   /// current clustering. Returns bytes freed. Run after migrations settle.
   std::uint64_t prune_unassigned();
 
-  /// The storage runtime (backend factory + on-disk root) for this network.
-  [[nodiscard]] const StoreRuntime& store_runtime() const { return *store_runtime_; }
-
  private:
-  void handle_churn_event(cluster::NodeId id, bool online);
-  void install_backend(IciNode& node, cluster::NodeId id);
+  /// Crash/restart or churn flip: update the directory, then repair.
+  void on_status_change(sim::NodeId id, bool online) override;
   void repair_cluster_coded(std::size_t cluster);
-  void note_commit_now(const Hash256& hash, std::uint64_t height,
-                       std::size_t size_bytes, sim::SimTime at);
-  void flush_deferred_commits();
+  void apply_record(const Record& commit) override;
+  sync::PeerSession& sync_peer(sim::NodeId id) override { return nodes_.at(id); }
+  [[nodiscard]] std::vector<sim::NodeId> join_candidates(
+      sim::NodeId joiner, const sync::SyncConfig& cfg) override;
 
   IciNetworkConfig cfg_;
-  std::size_t shards_ = 1;  // resolved (cfg_.shards or the --shards default)
-  sim::Simulator sim_;
-  std::unique_ptr<sim::Network> net_;
   std::vector<cluster::NodeInfo> infos_;
   std::unique_ptr<cluster::ClusterDirectory> directory_;
   std::unique_ptr<cluster::BlockAssigner> assigner_;
   std::unique_ptr<cluster::BlockAssigner> shard_owner_assigner_;  // unweighted, r=1
-  // Shared immutable snapshot + SoA tallies must outlive the nodes bound to
-  // them (nodes_ is declared after both). The store runtime owns the on-disk
-  // root, so it too must outlive the nodes whose backends write under it.
-  std::shared_ptr<HeaderIndex> header_index_ = std::make_shared<HeaderIndex>();
-  FleetTally fleet_tally_;
-  std::unique_ptr<StoreRuntime> store_runtime_;
   ObjectArena<IciNode> nodes_;
   std::unique_ptr<sim::ChurnModel> churn_;
-  // Declared after net_ so it uninstalls its network hook before the
-  // network dies.
-  std::unique_ptr<sim::FaultInjector> faults_;
   std::unique_ptr<cluster::RepairDaemon> repair_daemon_;
   std::unique_ptr<erasure::ReedSolomon> codec_;
-  metrics::Registry metrics_;
 
   std::vector<CommittedBlock> committed_;
   std::unordered_map<Hash256, std::size_t, Hash256Hasher> committed_index_;
@@ -270,21 +191,8 @@ class IciNetwork {
     sim::SimTime fully_committed_at = 0;
   };
   std::unordered_map<Hash256, CommitProgress, Hash256Hasher> progress_;
-  /// Commits recorded inside a parallel shard window, buffered per lane and
-  /// flushed at the barrier sorted by (at, key).
-  struct DeferredCommit {
-    sim::SimTime at = 0;
-    std::uint64_t key = 0;
-    Hash256 hash;
-    std::uint64_t height = 0;
-    std::size_t size_bytes = 0;
-  };
-  std::vector<std::vector<DeferredCommit>> deferred_commits_;
-  std::unique_ptr<sync::ServeThrottle> serve_throttle_;
   std::uint64_t proposer_cursor_ = 0;
-  bool genesis_done_ = false;
   std::uint64_t trace_clock_token_ = 0;
-  StatusObserver status_observer_;
 };
 
 }  // namespace ici::core

@@ -25,7 +25,7 @@
 #include "ici/messages.h"
 #include "storage/block_store.h"
 #include "storage/shard_store.h"
-#include "sync/session.h"
+#include "sync/peer.h"
 
 namespace ici::core {
 
@@ -70,7 +70,10 @@ struct FaultProfile {
   [[nodiscard]] bool any() const { return vote_reject || drop_slices || corrupt_serves; }
 };
 
-class IciNode final : public sim::INode, private sync::BulkPullSession::Env {
+// Cache-line aligned: the arena packs nodes back to back, and a fleet walk
+// (genesis seeding, dissemination at 10k+ nodes) runs measurably slower
+// when successive nodes straddle cache lines at varying offsets.
+class alignas(64) IciNode final : public sim::INode, public sync::Peer<IciNode> {
  public:
   IciNode(IciNetwork& ctx, cluster::NodeId id);
 
@@ -90,26 +93,6 @@ class IciNode final : public sim::INode, private sync::BulkPullSession::Env {
 
   /// Direct copy used by repair: pull `hash` from `source`.
   void pull_from(sim::NodeId source, const Hash256& hash);
-
-  /// New-node join (DESIGN.md D5): sync all headers from `head`, then fetch
-  /// only the bodies the intra-cluster assignment gives this node.
-  /// `on_done(bodies_fetched)` fires when the last body landed.
-  void start_bootstrap(sim::NodeId head, std::function<void(std::size_t)> on_done);
-
-  /// Streaming bulk-sync join (docs/BOOTSTRAP.md): frontier exchange with
-  /// `candidates`, then windowed multi-peer bulk pull. `checkpoint` is held
-  /// by the DRIVER (not this node) so it survives a mid-sync crash; a
-  /// restarted node resumes by calling this again over the same checkpoint.
-  void start_streaming_sync(const sync::SyncConfig& cfg,
-                            sync::SyncCheckpoint* checkpoint,
-                            std::vector<sim::NodeId> candidates,
-                            std::function<void(const sync::SyncReport&)> on_done);
-  /// Crash semantics: drops the in-memory session; every outstanding sync
-  /// timer becomes inert. The driver-held checkpoint is untouched.
-  void abandon_sync() { sync_session_.reset(); }
-  [[nodiscard]] bool sync_active() const {
-    return sync_session_ != nullptr && !sync_session_->finished();
-  }
 
   [[nodiscard]] cluster::NodeId id() const { return id_; }
   [[nodiscard]] BlockStore& store() { return store_; }
@@ -174,6 +157,8 @@ class IciNode final : public sim::INode, private sync::BulkPullSession::Env {
   std::uint64_t prune(const Hash256& hash) { return store_.prune_block(hash); }
 
  private:
+  friend class sync::Peer<IciNode>;
+
   // -- head role --------------------------------------------------------
   struct PendingVerify {
     std::shared_ptr<const Block> block;
@@ -225,24 +210,15 @@ class IciNode final : public sim::INode, private sync::BulkPullSession::Env {
   void handle_utxo_response(sim::NodeId from, const UtxoResponseMsg& msg);
   void handle_commit(sim::NodeId from, const CommitMsg& msg);
 
-  // -- streaming sync (sync::BulkPullSession::Env + serving) -------------
-  void handle_sync_message(sim::NodeId from, const sync::SyncMessage& msg);
-  /// Sends a serve-side sync response, deferred by the per-peer token
-  /// bucket when --sync-serve-rate is set.
-  void send_sync_response(sim::NodeId to, sim::MessagePtr msg,
-                          std::uint64_t io_delay_us = 0);
-  [[nodiscard]] sim::NodeId sync_self() const override { return id_; }
-  [[nodiscard]] sim::Simulator& sync_simulator() override;
-  void sync_send(sim::NodeId to, sim::MessagePtr msg) override;
-  [[nodiscard]] std::size_t sync_message_overhead() const override;
-  [[nodiscard]] bool sync_linked_headers() const override { return true; }
+  // -- bulk-sync policy (sync/peer.h): headers by range, then only the
+  // bodies (or RS shards) the intra-cluster assignment gives this node.
+  [[nodiscard]] IciNetwork& host() const { return ctx_; }
+  [[nodiscard]] std::uint64_t frontier_inventory() const;
   [[nodiscard]] sync::PullMode sync_range_mode() const override {
     return sync::PullMode::kHeaders;
   }
   [[nodiscard]] bool sync_coded() const override;
-  void sync_commit_header(const BlockHeader& header, const Hash256& hash) override;
   [[nodiscard]] bool sync_wants_body(const Hash256& hash, std::uint64_t height) override;
-  void sync_commit_body(const std::shared_ptr<const Block>& block) override;
   [[nodiscard]] std::vector<sim::NodeId> sync_body_candidates(
       const Hash256& hash, std::uint64_t height) override;
   void sync_fetch_assigned_shard(
@@ -252,8 +228,6 @@ class IciNode final : public sim::INode, private sync::BulkPullSession::Env {
   // -- server role ------------------------------------------------------
   void handle_block_request(sim::NodeId from, const BlockRequestMsg& msg);
   void handle_block_response(sim::NodeId from, const BlockResponseMsg& msg);
-  void handle_headers_request(sim::NodeId from, const HeadersRequestMsg& msg);
-  void handle_headers_response(sim::NodeId from, const HeadersResponseMsg& msg);
   void handle_inventory_request(sim::NodeId from, const InventoryRequestMsg& msg);
 
   struct PendingFetch {
@@ -334,15 +308,6 @@ class IciNode final : public sim::INode, private sync::BulkPullSession::Env {
   Validator validator_;
   FaultProfile fault_;
 
-  struct BootstrapState {
-    std::function<void(std::size_t)> on_done;
-    std::size_t outstanding = 0;
-    std::size_t bodies_fetched = 0;
-    bool headers_synced = false;
-    sim::SimTime started = 0;       // join start, for bootstrap tracing
-    sim::SimTime headers_done = 0;  // headers phase end / fetch phase start
-  };
-
   std::unordered_map<Hash256, PendingVerify, Hash256Hasher> verifying_;
   std::unordered_map<Hash256, PendingSlice, Hash256Hasher> slices_;
   std::unordered_map<Hash256, PendingChallenge, Hash256Hasher> challenges_;
@@ -356,10 +321,7 @@ class IciNode final : public sim::INode, private sync::BulkPullSession::Env {
     std::uint64_t height = 0;
   };
   std::unordered_map<Hash256, TxLocation, Hash256Hasher> tx_index_;
-  std::optional<BootstrapState> bootstrap_;
   ShardStore shard_store_;
-  std::shared_ptr<sync::BulkPullSession> sync_session_;
-  std::uint64_t sync_epoch_ = 0;  // distinguishes sessions across resumes
   std::uint64_t next_request_id_ = 1;
 };
 

@@ -1,7 +1,7 @@
 // Header-only glue mirroring the simulator-core counters into a protocol
-// metrics registry. sim/ stays metrics-free by design; the network facades
-// (IciNetwork, FullRepNetwork, RapidChainNetwork) call this after every
-// settle so bench artifacts carry the event-core instrumentation. All
+// metrics registry. sim/ stays metrics-free by design; the network host
+// every facade derives from (host::Host) calls this after every settle and
+// run_for so bench artifacts carry the event-core instrumentation. All
 // mirrored values are deterministic (no wall clock), so they are safe in
 // the bit-identical sim-metrics contract.
 #pragma once

@@ -3,9 +3,9 @@
 //
 // Every node keeps all headers, so storing them per node costs N x B map
 // entries — the dominant per-node memory term at 100k+ nodes. The chain has
-// no forks, so the header set is identical everywhere; the facades
-// (IciNetwork, FullRepNetwork, RapidChainNetwork) hand each node's
-// BlockStore a shared_ptr to one HeaderIndex, and the store keeps only a
+// no forks, so the header set is identical everywhere; the network host
+// (host::Host, shared by every facade) hands each node's BlockStore a
+// shared_ptr to one HeaderIndex, and the store keeps only a
 // per-node occupancy bitmap over the interned slots. Byte ACCOUNTING is
 // unchanged: a node that has N headers still reports N x kWireSize
 // header_bytes, exactly what a real deployment would persist.

@@ -1,7 +1,7 @@
 // Header-only glue mirroring fleet-summed StoreCounters into a protocol
 // metrics registry as `store.*` — same overwrite-idempotent pattern as
 // metrics/sim_metrics.h. storage/ itself stays metrics-free; the network
-// facades (which already link ici_metrics) call this from settle/run_for so
+// host (which already links ici_metrics) calls this from settle/run_for so
 // bench artifacts carry the backend instrumentation. All values are
 // order-free sums over per-node counters, so they sit inside the
 // bit-identical sim-metrics contract.

@@ -1,4 +1,4 @@
-// StoreRuntime: one per network facade — turns a StoreConfig into per-node
+// StoreRuntime: one per network host — turns a StoreConfig into per-node
 // StorageBackend instances and owns the on-disk root directory for the run.
 // With the default "mem" backend it does nothing (make_backend returns null
 // and BlockStore keeps its MemBackend). With "disk" each node gets

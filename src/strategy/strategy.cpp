@@ -1,12 +1,10 @@
 #include "strategy/strategy.h"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "baseline/fullrep.h"
 #include "baseline/pruned.h"
 #include "baseline/rapidchain.h"
-#include "ici/bootstrap.h"
 #include "ici/network.h"
 #include "storage/store_metrics.h"
 
@@ -14,41 +12,39 @@ namespace ici::core {
 
 namespace {
 
-// -- ICIStrategy --------------------------------------------------------------
+// -- simulated strategies -----------------------------------------------------
 
-class IciStrategy final : public Strategy {
+/// One adapter for every simulated strategy: the facade's protocol entry
+/// points (genesis, dissemination, preload) plus everything its host
+/// provides (run/settle, faults, stores, traffic, joins).
+template <class Net>
+class HostedStrategy : public Strategy {
  public:
-  explicit IciStrategy(const StrategyConfig& cfg) {
-    IciNetworkConfig ncfg;
-    ncfg.node_count = cfg.node_count;
-    ncfg.seed = cfg.topology_seed;
-    ncfg.ici.cluster_count = cfg.groups;
-    ncfg.ici.replication = cfg.replication;
-    ncfg.ici.seed = cfg.placement_seed;
-    ncfg.ici.fetch_retry_rounds = cfg.fetch_retry_rounds;
-    ncfg.ici.cross_cluster_repair = cfg.cross_cluster_repair;
-    ncfg.store = cfg.store;
-    net_ = std::make_unique<IciNetwork>(ncfg);
+  HostedStrategy(std::string_view name, std::unique_ptr<Net> net)
+      : name_(name), net_(std::move(net)) {}
+
+  [[nodiscard]] std::string_view name() const override { return name_; }
+
+  void init(const Block& genesis) override {
+    net_->init_with_genesis(genesis);
+    committed_.push_back(genesis.hash());
   }
 
-  [[nodiscard]] std::string_view name() const override { return "ici"; }
-
-  void init(const Block& genesis) override { net_->init_with_genesis(genesis); }
-
   sim::SimTime ingest(const Block& block) override {
+    committed_.push_back(block.hash());
     return net_->disseminate_and_settle(block);
   }
 
-  void preload(const Chain& chain) override { net_->preload_chain(chain); }
+  void preload(const Chain& chain) override {
+    net_->preload_chain(chain);
+    for (std::size_t h = 1; h < chain.blocks().size(); ++h) {
+      committed_.push_back(chain.blocks()[h].hash());
+    }
+  }
 
   void settle() override { net_->settle(); }
   void run_for(sim::SimTime us) override { net_->run_for(us); }
-
   void start_faults(const sim::FaultPlan& plan) override { net_->start_faults(plan); }
-
-  void start_repair(sim::SimTime interval_us, sim::SimTime until_us) override {
-    net_->start_repair_daemon(interval_us, until_us);
-  }
 
   [[nodiscard]] StorageSnapshot storage() const override {
     return StorageMeter::snapshot(net_->stores());
@@ -60,8 +56,21 @@ class IciStrategy final : public Strategy {
   }
   void reset_traffic() override { net_->network().reset_traffic(); }
 
-  [[nodiscard]] double availability() const override { return net_->network_availability(); }
-  [[nodiscard]] double cluster_availability() const override { return net_->availability(); }
+  /// Committed blocks some online node holds.
+  [[nodiscard]] double availability() const override {
+    if (committed_.empty()) return 1.0;
+    const std::vector<const BlockStore*> stores = net_->stores();
+    std::size_t servable = 0;
+    for (const Hash256& hash : committed_) {
+      for (sim::NodeId id = 0; id < stores.size(); ++id) {
+        if (net_->network().online(id) && stores[id]->has_block(hash)) {
+          ++servable;
+          break;
+        }
+      }
+    }
+    return static_cast<double>(servable) / static_cast<double>(committed_.size());
+  }
 
   [[nodiscard]] metrics::Registry* metrics_registry() override { return &net_->metrics(); }
 
@@ -71,16 +80,26 @@ class IciStrategy final : public Strategy {
 
   [[nodiscard]] JoinReport bootstrap_join(sim::Coord coord,
                                           const sync::SyncConfig& cfg) override {
-    const BootstrapReport r = Bootstrapper::join(*net_, coord, cfg);
-    JoinReport out;
-    out.protocol = true;
-    out.complete = r.complete;
-    out.bytes_downloaded = r.bytes_downloaded;
-    out.elapsed_us = r.elapsed_us;
-    out.bodies_fetched = r.bodies_fetched;
-    out.sync = r.sync;
-    return out;
+    return net_->bootstrap(coord, cfg);
   }
+
+ protected:
+  std::string_view name_;
+  std::unique_ptr<Net> net_;
+  std::vector<Hash256> committed_;
+};
+
+/// ICI adds repair, coded-aware availability and the retrieval probe.
+class IciStrategy final : public HostedStrategy<IciNetwork> {
+ public:
+  using HostedStrategy::HostedStrategy;
+
+  void start_repair(sim::SimTime interval_us, sim::SimTime until_us) override {
+    net_->start_repair_daemon(interval_us, until_us);
+  }
+
+  [[nodiscard]] double availability() const override { return net_->network_availability(); }
+  [[nodiscard]] double cluster_availability() const override { return net_->availability(); }
 
   std::optional<RetrievalStats> probe_retrieval(std::size_t count,
                                                 std::uint64_t seed) override {
@@ -93,179 +112,14 @@ class IciStrategy final : public Strategy {
     }
     return RetrievalDriver::run(*net_, count, seed);
   }
-
- private:
-  std::unique_ptr<IciNetwork> net_;
 };
 
-// -- full replication ---------------------------------------------------------
-
-class FullRepStrategy final : public Strategy {
- public:
-  explicit FullRepStrategy(const StrategyConfig& cfg) {
-    baseline::FullRepConfig ncfg;
-    ncfg.node_count = cfg.node_count;
-    ncfg.validate = cfg.fullrep_validate;
-    ncfg.seed = cfg.topology_seed;
-    ncfg.store = cfg.store;
-    net_ = std::make_unique<baseline::FullRepNetwork>(ncfg);
-  }
-
-  [[nodiscard]] std::string_view name() const override { return "fullrep"; }
-
-  void init(const Block& genesis) override {
-    net_->init_with_genesis(genesis);
-    committed_.push_back(genesis.hash());
-  }
-
-  sim::SimTime ingest(const Block& block) override {
-    committed_.push_back(block.hash());
-    return net_->disseminate_and_settle(block);
-  }
-
-  void preload(const Chain& chain) override {
-    net_->preload_chain(chain);
-    for (std::size_t h = 1; h < chain.blocks().size(); ++h) {
-      committed_.push_back(chain.blocks()[h].hash());
-    }
-  }
-
-  void settle() override { net_->settle(); }
-  void run_for(sim::SimTime us) override { net_->run_for(us); }
-  void start_faults(const sim::FaultPlan& plan) override { net_->start_faults(plan); }
-
-  [[nodiscard]] StorageSnapshot storage() const override {
-    return StorageMeter::snapshot(net_->stores());
-  }
-
-  [[nodiscard]] StrategyTraffic traffic() const override {
-    const sim::NodeTraffic t = net_->network().total_traffic();
-    return {t.bytes_sent, t.msgs_sent};
-  }
-  void reset_traffic() override { net_->network().reset_traffic(); }
-
-  [[nodiscard]] double availability() const override {
-    if (committed_.empty()) return 1.0;
-    std::size_t servable = 0;
-    for (const Hash256& hash : committed_) {
-      for (sim::NodeId id = 0; id < net_->node_count(); ++id) {
-        if (net_->network().online(id) && net_->node(id).store().has_block(hash)) {
-          ++servable;
-          break;
-        }
-      }
-    }
-    return static_cast<double>(servable) / static_cast<double>(committed_.size());
-  }
-
-  [[nodiscard]] metrics::Registry* metrics_registry() override { return &net_->metrics(); }
-
-  [[nodiscard]] StoreCounters store_counters() const override {
-    return sum_store_counters(net_->stores());
-  }
-
-  [[nodiscard]] JoinReport bootstrap_join(sim::Coord coord,
-                                          const sync::SyncConfig& cfg) override {
-    const auto r = net_->bootstrap(coord, cfg);
-    JoinReport out;
-    out.protocol = true;
-    out.complete = r.complete;
-    out.bytes_downloaded = r.bytes_downloaded;
-    out.elapsed_us = r.elapsed_us;
-    out.bodies_fetched = r.bodies_fetched;
-    out.sync = r.sync;
-    return out;
-  }
-
- private:
-  std::unique_ptr<baseline::FullRepNetwork> net_;
-  std::vector<Hash256> committed_;
-};
-
-// -- RapidChain ---------------------------------------------------------------
-
-class RapidChainStrategy final : public Strategy {
- public:
-  explicit RapidChainStrategy(const StrategyConfig& cfg) {
-    baseline::RapidChainConfig ncfg;
-    ncfg.node_count = cfg.node_count;
-    ncfg.committee_count = cfg.groups;
-    ncfg.seed = cfg.topology_seed;
-    ncfg.store = cfg.store;
-    net_ = std::make_unique<baseline::RapidChainNetwork>(ncfg);
-  }
-
-  [[nodiscard]] std::string_view name() const override { return "rapidchain"; }
-
-  void init(const Block& genesis) override {
-    net_->init_with_genesis(genesis);
-    committed_.push_back(genesis.hash());
-  }
-
-  sim::SimTime ingest(const Block& block) override {
-    committed_.push_back(block.hash());
-    return net_->disseminate_and_settle(block);
-  }
-
-  void preload(const Chain& chain) override {
-    net_->preload_chain(chain);
-    for (std::size_t h = 1; h < chain.blocks().size(); ++h) {
-      committed_.push_back(chain.blocks()[h].hash());
-    }
-  }
-
-  void settle() override { net_->settle(); }
-  void run_for(sim::SimTime us) override { net_->run_for(us); }
-  void start_faults(const sim::FaultPlan& plan) override { net_->start_faults(plan); }
-
-  [[nodiscard]] StorageSnapshot storage() const override {
-    return StorageMeter::snapshot(net_->stores());
-  }
-
-  [[nodiscard]] StrategyTraffic traffic() const override {
-    const sim::NodeTraffic t = net_->network().total_traffic();
-    return {t.bytes_sent, t.msgs_sent};
-  }
-  void reset_traffic() override { net_->network().reset_traffic(); }
-
-  [[nodiscard]] double availability() const override {
-    if (committed_.empty()) return 1.0;
-    std::size_t servable = 0;
-    for (const Hash256& hash : committed_) {
-      const std::size_t c = net_->committee_of_block(hash);
-      for (sim::NodeId id : net_->committee_members(c)) {
-        if (net_->network().online(id) && net_->node(id).store().has_block(hash)) {
-          ++servable;
-          break;
-        }
-      }
-    }
-    return static_cast<double>(servable) / static_cast<double>(committed_.size());
-  }
-
-  [[nodiscard]] metrics::Registry* metrics_registry() override { return &net_->metrics(); }
-
-  [[nodiscard]] StoreCounters store_counters() const override {
-    return sum_store_counters(net_->stores());
-  }
-
-  [[nodiscard]] JoinReport bootstrap_join(sim::Coord coord,
-                                          const sync::SyncConfig& cfg) override {
-    const auto r = net_->bootstrap(coord, cfg);
-    JoinReport out;
-    out.protocol = true;
-    out.complete = r.complete;
-    out.bytes_downloaded = r.bytes_downloaded;
-    out.elapsed_us = r.elapsed_us;
-    out.bodies_fetched = r.bodies_fetched;
-    out.sync = r.sync;
-    return out;
-  }
-
- private:
-  std::unique_ptr<baseline::RapidChainNetwork> net_;
-  std::vector<Hash256> committed_;
-};
+/// The construction knobs every simulated strategy shares.
+void apply_host_fields(host::HostConfig& out, const StrategyConfig& cfg) {
+  out.node_count = cfg.node_count;
+  out.seed = cfg.topology_seed;
+  out.store = cfg.store;
+}
 
 // -- pruned -------------------------------------------------------------------
 
@@ -352,9 +206,30 @@ std::vector<std::string_view> strategy_names() {
 }
 
 std::unique_ptr<Strategy> make_strategy(std::string_view name, const StrategyConfig& cfg) {
-  if (name == "ici") return std::make_unique<IciStrategy>(cfg);
-  if (name == "fullrep") return std::make_unique<FullRepStrategy>(cfg);
-  if (name == "rapidchain") return std::make_unique<RapidChainStrategy>(cfg);
+  if (name == "ici") {
+    IciNetworkConfig ncfg;
+    apply_host_fields(ncfg, cfg);
+    ncfg.ici.cluster_count = cfg.groups;
+    ncfg.ici.replication = cfg.replication;
+    ncfg.ici.seed = cfg.placement_seed;
+    ncfg.ici.fetch_retry_rounds = cfg.fetch_retry_rounds;
+    ncfg.ici.cross_cluster_repair = cfg.cross_cluster_repair;
+    return std::make_unique<IciStrategy>("ici", std::make_unique<IciNetwork>(ncfg));
+  }
+  if (name == "fullrep") {
+    baseline::FullRepConfig ncfg;
+    apply_host_fields(ncfg, cfg);
+    ncfg.validate = cfg.fullrep_validate;
+    return std::make_unique<HostedStrategy<baseline::FullRepNetwork>>(
+        "fullrep", std::make_unique<baseline::FullRepNetwork>(ncfg));
+  }
+  if (name == "rapidchain") {
+    baseline::RapidChainConfig ncfg;
+    apply_host_fields(ncfg, cfg);
+    ncfg.committee_count = cfg.groups;
+    return std::make_unique<HostedStrategy<baseline::RapidChainNetwork>>(
+        "rapidchain", std::make_unique<baseline::RapidChainNetwork>(ncfg));
+  }
   if (name == "pruned") return std::make_unique<PrunedStrategy>(cfg);
   throw std::invalid_argument("unknown strategy: " + std::string(name));
 }

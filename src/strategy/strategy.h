@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "chain/chain.h"
+#include "host/host.h"
 #include "ici/retrieval.h"
 #include "metrics/registry.h"
 #include "sim/faults.h"
@@ -65,19 +66,7 @@ struct StrategyTraffic {
 };
 
 /// Result of joining a fresh node through the strategy's bootstrap path.
-struct JoinReport {
-  /// True when the numbers come from the streaming bulk-sync protocol
-  /// (docs/BOOTSTRAP.md); false for closed-form accounting (pruned has no
-  /// simulated network, so its download cost is computed, not measured).
-  bool protocol = false;
-  bool complete = false;
-  std::uint64_t bytes_downloaded = 0;
-  sim::SimTime elapsed_us = 0;
-  std::size_t bodies_fetched = 0;
-  /// Protocol-level detail (per-peer attribution, retries, resume count).
-  /// Only meaningful when `protocol` is true.
-  sync::SyncReport sync;
-};
+using JoinReport = host::JoinReport;
 
 class Strategy {
  public:

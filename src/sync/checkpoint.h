@@ -1,5 +1,5 @@
 // Crash-safe sync state. A `SyncCheckpoint` lives OUTSIDE the joining node
-// (with the driver that owns the join — `Bootstrapper` or a facade), so when
+// (with the join driver, host::Host::bootstrap_added), so when
 // a FaultPlan crash window destroys the node's in-memory `BulkPullSession`,
 // the verified prefix survives. On restart the driver opens a fresh session
 // from the checkpoint and the joiner resumes at `next_height` instead of

@@ -18,10 +18,11 @@
 //             session over the same checkpoint (frontier re-probes, ranges
 //             restart at `next_height`, owed bodies are re-requested).
 //
-// The session is strategy-agnostic via `Env`, implemented privately by
-// IciNode / FullRepNode / RapidChainNode. It draws NO random numbers: peer
-// choice, range assignment, retry rotation, and batch grouping are all
-// deterministic functions of (config, checkpoint, message arrival order),
+// The session is strategy-agnostic via `Env`, implemented by sync::Peer
+// (sync/peer.h), which every node type composes. It draws NO random
+// numbers: peer choice, range assignment, retry rotation, and batch
+// grouping are all deterministic functions of (config, checkpoint, message
+// arrival order),
 // so the determinism contract holds — identical seeds replay bit-identically.
 //
 // Timers are armed through weak_ptr self-references: when the driver drops

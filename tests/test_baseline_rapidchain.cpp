@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "chain/workload.h"
@@ -25,19 +26,54 @@ RapidChainConfig make_config(std::size_t nodes = 20, std::size_t committees = 4)
 }
 
 TEST(RapidChain, CommitteesPartitionNodes) {
-  RapidChainNetwork net(make_config());
-  std::unordered_set<sim::NodeId> seen;
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < 4; ++c) {
+  // n=8, k=3 hashes every node into two committees; the third is filled by
+  // moving a member over, and that member must know its new committee.
+  for (const auto& [nodes, committees] :
+       {std::pair<std::size_t, std::size_t>{20, 4}, {8, 3}}) {
+    RapidChainNetwork net(make_config(nodes, committees));
+    std::unordered_set<sim::NodeId> seen;
+    std::size_t total = 0;
+    for (std::size_t c = 0; c < committees; ++c) {
+      const auto& members = net.committee_members(c);
+      EXPECT_FALSE(members.empty());
+      for (sim::NodeId id : members) {
+        EXPECT_TRUE(seen.insert(id).second);
+        EXPECT_EQ(net.node(id).committee(), c) << "n=" << nodes << " k=" << committees;
+        ++total;
+      }
+    }
+    EXPECT_EQ(total, nodes);
+  }
+}
+
+TEST(RapidChain, RebalancedCommitteeHoldsExactlyItsBlocks) {
+  // At n=8, k=3 one committee exists only through rebalancing (a single
+  // moved member). Every committee — that one included — must end up
+  // holding exactly its own blocks; a one-member committee has the block
+  // the moment its leader stores it.
+  const Chain chain = make_chain(12);
+  RapidChainNetwork net(make_config(8, 3));
+  net.init_with_genesis(chain.at_height(0));
+  std::unordered_set<std::size_t> routed;
+  for (std::uint64_t h = 1; h <= chain.height(); ++h) {
+    const Block& block = chain.at_height(h);
+    const Hash256 hash = block.hash();
+    const std::size_t c = net.committee_of_block(hash);
+    routed.insert(c);
+    const sim::SimTime latency = net.disseminate_and_settle(block);
     const auto& members = net.committee_members(c);
-    EXPECT_FALSE(members.empty());
-    for (sim::NodeId id : members) {
-      EXPECT_TRUE(seen.insert(id).second);
-      EXPECT_EQ(net.node(id).committee(), c);
-      ++total;
+    if (members.size() > 1) {
+      EXPECT_GT(latency, 0u) << "height " << h;
+    } else {
+      EXPECT_EQ(latency, 0u) << "height " << h;
+    }
+    for (sim::NodeId id = 0; id < net.node_count(); ++id) {
+      const bool member = std::find(members.begin(), members.end(), id) != members.end();
+      EXPECT_EQ(net.node(id).store().has_block(hash), member)
+          << "height " << h << " node " << id << " committee " << c;
     }
   }
-  EXPECT_EQ(total, 20u);
+  EXPECT_EQ(routed.size(), 3u) << "some committee got no block to check";
 }
 
 TEST(RapidChain, RejectsBadCommitteeCount) {

@@ -193,7 +193,9 @@ TEST_F(DispatchApi, NativeLabelsMatchProbedFeatures) {
     EXPECT_STREQ(cpu::gf256_backend_name(), "scalar");
   }
   // AVX2 implies SSSE3 on every real CPU; the probe must agree.
-  if (f.avx2) EXPECT_TRUE(f.ssse3);
+  if (f.avx2) {
+    EXPECT_TRUE(f.ssse3);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "chain/workload.h"
+#include "ici/network.h"
 
 namespace ici::core {
 namespace {
@@ -29,7 +30,8 @@ struct PreloadedNet {
 
 TEST(Bootstrap, JoinerSyncsHeadersAndAssignedBodies) {
   PreloadedNet rig;
-  const BootstrapReport report = Bootstrapper::join(*rig.net, {50, 50});
+  const host::JoinReport report = rig.net->bootstrap({50, 50});
+  const std::size_t joined = rig.net->directory().cluster_of(report.joiner);
   EXPECT_TRUE(report.complete);
 
   const IciNode& joiner = rig.net->node(report.joiner);
@@ -38,7 +40,7 @@ TEST(Bootstrap, JoinerSyncsHeadersAndAssignedBodies) {
   // Holds exactly the bodies assigned to it under the new membership.
   for (std::uint64_t h = 0; h <= rig.chain->height(); ++h) {
     const Hash256 hash = rig.chain->at_height(h).hash();
-    const auto storers = rig.net->storers_of(hash, h, report.cluster, false);
+    const auto storers = rig.net->storers_of(hash, h, joined, false);
     const bool assigned =
         std::find(storers.begin(), storers.end(), report.joiner) != storers.end();
     EXPECT_EQ(joiner.store().has_block(hash), assigned) << "height " << h;
@@ -48,7 +50,7 @@ TEST(Bootstrap, JoinerSyncsHeadersAndAssignedBodies) {
 
 TEST(Bootstrap, DownloadsFractionOfChain) {
   PreloadedNet rig(20, 2, 20);
-  const BootstrapReport report = Bootstrapper::join(*rig.net, {10, 10});
+  const host::JoinReport report = rig.net->bootstrap({10, 10});
   ASSERT_TRUE(report.complete);
   // A cluster of ~10 members: the joiner should download roughly 1/10 of the
   // ledger, far below the full chain a full-replication joiner pulls.
@@ -59,7 +61,8 @@ TEST(Bootstrap, DownloadsFractionOfChain) {
 
 TEST(Bootstrap, JoinerPicksNearestCluster) {
   PreloadedNet rig(30, 3, 4);
-  const BootstrapReport report = Bootstrapper::join(*rig.net, {0, 0});
+  const host::JoinReport report = rig.net->bootstrap({0, 0});
+  const std::size_t joined = rig.net->directory().cluster_of(report.joiner);
   // The chosen cluster must be the arg-min of mean member distance.
   auto& dir = rig.net->directory();
   double chosen_mean = 0, best = 1e18;
@@ -73,19 +76,20 @@ TEST(Bootstrap, JoinerPicksNearestCluster) {
       ++count;
     }
     const double mean = total / static_cast<double>(count);
-    if (c == report.cluster) chosen_mean = mean;
+    if (c == joined) chosen_mean = mean;
     if (mean < best) {
       best = mean;
       best_c = c;
     }
   }
-  EXPECT_EQ(report.cluster, best_c);
+  EXPECT_EQ(joined, best_c);
   EXPECT_DOUBLE_EQ(chosen_mean, best);
 }
 
 TEST(Bootstrap, JoinerServesFetchesAfterJoin) {
   PreloadedNet rig;
-  const BootstrapReport report = Bootstrapper::join(*rig.net, {50, 50});
+  const host::JoinReport report = rig.net->bootstrap({50, 50});
+  const std::size_t joined = rig.net->directory().cluster_of(report.joiner);
   ASSERT_TRUE(report.complete);
   ASSERT_GT(report.bodies_fetched, 0u);
 
@@ -94,7 +98,7 @@ TEST(Bootstrap, JoinerServesFetchesAfterJoin) {
   std::uint64_t target_height = 0;
   for (std::uint64_t h = 0; h <= rig.chain->height(); ++h) {
     const Hash256 hash = rig.chain->at_height(h).hash();
-    const auto storers = rig.net->storers_of(hash, h, report.cluster, false);
+    const auto storers = rig.net->storers_of(hash, h, joined, false);
     if (storers[0] == report.joiner) {
       target = hash;
       target_height = h;
@@ -104,7 +108,7 @@ TEST(Bootstrap, JoinerServesFetchesAfterJoin) {
   if (target.is_zero()) GTEST_SKIP() << "joiner not primary for any block";
 
   cluster::NodeId peer = cluster::kNoNode;
-  for (auto id : rig.net->directory().members(report.cluster)) {
+  for (auto id : rig.net->directory().members(joined)) {
     if (id != report.joiner && !rig.net->node(id).store().has_block(target)) {
       peer = id;
       break;
@@ -121,8 +125,8 @@ TEST(Bootstrap, JoinerServesFetchesAfterJoin) {
 
 TEST(Bootstrap, MultipleJoinersSucceed) {
   PreloadedNet rig;
-  const BootstrapReport r1 = Bootstrapper::join(*rig.net, {20, 20});
-  const BootstrapReport r2 = Bootstrapper::join(*rig.net, {80, 80});
+  const host::JoinReport r1 = rig.net->bootstrap({20, 20});
+  const host::JoinReport r2 = rig.net->bootstrap({80, 80});
   EXPECT_TRUE(r1.complete);
   EXPECT_TRUE(r2.complete);
   EXPECT_NE(r1.joiner, r2.joiner);

@@ -27,11 +27,18 @@ struct GridCase {
 
 std::string case_name(const ::testing::TestParamInfo<GridCase>& info) {
   const GridCase& c = info.param;
-  std::string name = "n" + std::to_string(c.nodes) + "_k" + std::to_string(c.clusters);
+  std::string name = "n";
+  name += std::to_string(c.nodes);
+  name += "_k";
+  name += std::to_string(c.clusters);
   if (c.erasure_data > 0) {
-    name += "_rs" + std::to_string(c.erasure_data) + "x" + std::to_string(c.erasure_parity);
+    name += "_rs";
+    name += std::to_string(c.erasure_data);
+    name += "x";
+    name += std::to_string(c.erasure_parity);
   } else {
-    name += "_r" + std::to_string(c.replication);
+    name += "_r";
+    name += std::to_string(c.replication);
   }
   return name;
 }

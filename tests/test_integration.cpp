@@ -6,7 +6,6 @@
 #include "baseline/fullrep.h"
 #include "baseline/rapidchain.h"
 #include "chain/workload.h"
-#include "ici/bootstrap.h"
 #include "ici/network.h"
 #include "storage/storage_meter.h"
 
@@ -159,7 +158,7 @@ TEST(Integration, BootstrapOrderingIciBelowRapidchainBelowFullrep) {
   core::IciNetwork ici(ici_cfg);
   ici.init_with_genesis(chain.at_height(0));
   ici.preload_chain(chain);
-  const auto ic = core::Bootstrapper::join(ici, {50, 50});
+  const auto ic = ici.bootstrap({50, 50});
   ASSERT_TRUE(ic.complete);
 
   EXPECT_LT(ic.bytes_downloaded, rc.bytes_downloaded);

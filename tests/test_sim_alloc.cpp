@@ -21,16 +21,20 @@ namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replaced new/delete pair is kept out of line so the compiler matches
+// every delete against this new at call sites instead of tracing the
+// malloc/free inside them across inlining.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Every delete form funnels into the one that pairs with the new above.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace ici::sim {
 namespace {

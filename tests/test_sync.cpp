@@ -4,8 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "baseline/fullrep.h"
+#include "baseline/rapidchain.h"
 #include "chain/workload.h"
-#include "ici/bootstrap.h"
+#include "ici/network.h"
 #include "sim/faults.h"
 #include "strategy/strategy.h"
 
@@ -19,16 +20,20 @@ Chain make_test_chain(std::size_t blocks, std::size_t txs = 8) {
   return ChainGenerator(cfg).generate();
 }
 
+template <class Net, class Config>
+std::unique_ptr<Net> preloaded(Config cfg, const Chain& chain) {
+  auto net = std::make_unique<Net>(cfg);
+  net->init_with_genesis(chain.at_height(0));
+  net->preload_chain(chain);
+  return net;
+}
+
 struct IciRig {
-  explicit IciRig(const Chain& chain, std::size_t nodes = 20, std::size_t clusters = 2,
-                  double serve_rate_bps = 0.0) {
+  explicit IciRig(const Chain& chain, std::size_t nodes = 20, std::size_t clusters = 2) {
     core::IciNetworkConfig cfg;
     cfg.node_count = nodes;
     cfg.ici.cluster_count = clusters;
-    cfg.sync_serve_rate_bps = serve_rate_bps;
-    net = std::make_unique<core::IciNetwork>(cfg);
-    net->init_with_genesis(chain.at_height(0));
-    net->preload_chain(chain);
+    net = preloaded<core::IciNetwork>(cfg, chain);
   }
   std::unique_ptr<core::IciNetwork> net;
 };
@@ -38,26 +43,68 @@ struct FullRepRig {
     baseline::FullRepConfig cfg;
     cfg.node_count = nodes;
     cfg.validate = false;
-    net = std::make_unique<baseline::FullRepNetwork>(cfg);
-    net->init_with_genesis(chain.at_height(0));
-    net->preload_chain(chain);
+    net = preloaded<baseline::FullRepNetwork>(cfg, chain);
   }
   std::unique_ptr<baseline::FullRepNetwork> net;
 };
+
+/// A preloaded network of `flavour` (ici, fullrep or rapidchain), seen
+/// through the host every flavour shares.
+std::unique_ptr<host::Host> make_host(std::string_view flavour, const Chain& chain,
+                                      double serve_rate_bps = 0.0) {
+  if (flavour == "ici") {
+    core::IciNetworkConfig cfg;
+    cfg.node_count = 20;
+    cfg.ici.cluster_count = 2;
+    cfg.sync_serve_rate_bps = serve_rate_bps;
+    return preloaded<core::IciNetwork>(cfg, chain);
+  }
+  if (flavour == "fullrep") {
+    baseline::FullRepConfig cfg;
+    cfg.node_count = 16;
+    cfg.validate = false;
+    cfg.sync_serve_rate_bps = serve_rate_bps;
+    return preloaded<baseline::FullRepNetwork>(cfg, chain);
+  }
+  baseline::RapidChainConfig cfg;
+  cfg.node_count = 20;
+  cfg.committee_count = 2;
+  cfg.sync_serve_rate_bps = serve_rate_bps;
+  return preloaded<baseline::RapidChainNetwork>(cfg, chain);
+}
+
+/// The joiner's final verified state: headers, bodies and RS shard bytes.
+struct JoinerState {
+  std::uint64_t headers = 0;
+  std::uint64_t blocks = 0;
+  std::uint64_t body_bytes = 0;
+  std::uint64_t shard_bytes = 0;
+
+  JoinerState(const host::Host& net, sim::NodeId joiner) {
+    const BlockStore& store = *net.stores().at(joiner);
+    headers = store.header_count();
+    blocks = store.block_count();
+    body_bytes = store.body_bytes();
+    shard_bytes = net.fleet_tally().slot(joiner).shard_bytes;
+  }
+  bool operator==(const JoinerState&) const = default;
+};
+
+class SyncJoin : public ::testing::TestWithParam<std::string_view> {};
 
 // Two identical fresh rigs at the same seed must produce bit-identical
 // joins: same bytes, same timing, same per-peer attribution, in the same
 // order (the determinism contract of docs/BOOTSTRAP.md).
 TEST(Sync, BitIdenticalReruns) {
   const Chain chain = make_test_chain(16);
-  core::BootstrapReport a, b;
+  host::JoinReport a, b;
   {
     IciRig rig(chain);
-    a = core::Bootstrapper::join(*rig.net, {50, 50});
+    a = rig.net->bootstrap({50, 50});
   }
   {
     IciRig rig(chain);
-    b = core::Bootstrapper::join(*rig.net, {50, 50});
+    b = rig.net->bootstrap({50, 50});
   }
   ASSERT_TRUE(a.complete);
   ASSERT_TRUE(b.complete);
@@ -77,34 +124,28 @@ TEST(Sync, BitIdenticalReruns) {
 // A joiner crashed mid-sync by a FaultPlan window must resume from the
 // driver-owned checkpoint and end in the same final verified state
 // (bit-identical storage counters) as an uninterrupted join.
-TEST(Sync, ResumeAfterCrashMatchesUninterrupted) {
+TEST_P(SyncJoin, ResumeAfterCrashMatchesUninterrupted) {
   const Chain chain = make_test_chain(24);
 
-  IciRig clean(chain);
-  const auto clean_report = core::Bootstrapper::join(*clean.net, {50, 50});
+  const auto clean = make_host(GetParam(), chain);
+  const host::JoinReport clean_report = clean->bootstrap({50, 50});
   ASSERT_TRUE(clean_report.complete);
-  const auto& clean_node = clean.net->node(clean_report.joiner);
   const sim::SimTime t_clean = clean_report.sync.time_to_synced_us;
   ASSERT_GT(t_clean, 0u);
 
-  IciRig faulted(chain);
-  const cluster::NodeId joiner =
-      core::Bootstrapper::add_joiner_nearest(*faulted.net, {50, 50});
-  const sim::SimTime now = faulted.net->simulator().now();
+  const auto faulted = make_host(GetParam(), chain);
+  const sim::NodeId joiner = faulted->add_sync_joiner({50, 50});
+  const sim::SimTime now = faulted->simulator().now();
   sim::FaultPlan plan;
   plan.crashes.push_back(
       sim::CrashWindow{joiner, now + t_clean * 2 / 5, now + t_clean * 9 / 10});
-  faulted.net->start_faults(plan);
+  faulted->start_faults(plan);
 
-  const auto resumed = core::Bootstrapper::run(*faulted.net, joiner, sync::SyncConfig{});
+  const host::JoinReport resumed = faulted->bootstrap_added(joiner);
   ASSERT_TRUE(resumed.complete);
   EXPECT_GE(resumed.sync.resume_count, 1u) << "crash window missed the sync";
 
-  const auto& resumed_node = faulted.net->node(joiner);
-  EXPECT_EQ(resumed_node.store().header_count(), clean_node.store().header_count());
-  EXPECT_EQ(resumed_node.store().block_count(), clean_node.store().block_count());
-  EXPECT_EQ(resumed_node.store().body_bytes(), clean_node.store().body_bytes());
-  EXPECT_EQ(resumed_node.shards().total_bytes(), clean_node.shards().total_bytes());
+  EXPECT_EQ(JoinerState(*faulted, joiner), JoinerState(*clean, clean_report.joiner));
   EXPECT_EQ(resumed.sync.headers_committed, clean_report.sync.headers_committed);
   EXPECT_EQ(resumed.sync.bodies_committed, clean_report.sync.bodies_committed);
 }
@@ -115,26 +156,22 @@ TEST(Sync, ResumeAfterCrashMatchesUninterrupted) {
 // bytes, same ranges, same final store — as the unthrottled join. The
 // token-bucket delay only reorders *when* responses leave, never what they
 // contain.
-TEST(Sync, ThrottledJoinLandsBitIdentical) {
+TEST_P(SyncJoin, ThrottledJoinLandsBitIdentical) {
   const Chain chain = make_test_chain(16);
 
-  IciRig clean(chain);
-  const auto clean_report = core::Bootstrapper::join(*clean.net, {50, 50});
+  const auto clean = make_host(GetParam(), chain);
+  const host::JoinReport clean_report = clean->bootstrap({50, 50});
   ASSERT_TRUE(clean_report.complete);
-  const auto& clean_node = clean.net->node(clean_report.joiner);
 
   // 1 MB/s of sim time: every response is delayed by its serialization
   // cost (tens of ms for a range) while staying far inside the sync
   // timeouts, so nothing is retried — only deferred.
-  IciRig throttled(chain, 20, 2, /*serve_rate_bps=*/1'000'000.0);
-  const auto throttled_report = core::Bootstrapper::join(*throttled.net, {50, 50});
+  const auto throttled = make_host(GetParam(), chain, /*serve_rate_bps=*/1'000'000.0);
+  const host::JoinReport throttled_report = throttled->bootstrap({50, 50});
   ASSERT_TRUE(throttled_report.complete);
-  const auto& throttled_node = throttled.net->node(throttled_report.joiner);
 
-  const auto& counters = throttled.net->metrics().counters();
-  const auto it = counters.find("sync.serve_throttled");
-  ASSERT_TRUE(it != counters.end()) << "throttle never fired";
-  EXPECT_GT(it->second.value(), 0u);
+  EXPECT_GT(throttled->metrics().counter_value("sync.serve_throttled"), 0u)
+      << "throttle never fired";
   EXPECT_GT(throttled_report.sync.time_to_synced_us, clean_report.sync.time_to_synced_us)
       << "throttled join should be slower in sim time";
 
@@ -143,15 +180,13 @@ TEST(Sync, ThrottledJoinLandsBitIdentical) {
   EXPECT_EQ(throttled_report.sync.ranges_committed, clean_report.sync.ranges_committed);
   EXPECT_EQ(throttled_report.sync.headers_committed, clean_report.sync.headers_committed);
   EXPECT_EQ(throttled_report.sync.bodies_committed, clean_report.sync.bodies_committed);
-  EXPECT_EQ(throttled_node.store().header_count(), clean_node.store().header_count());
-  EXPECT_EQ(throttled_node.store().block_count(), clean_node.store().block_count());
-  EXPECT_EQ(throttled_node.store().body_bytes(), clean_node.store().body_bytes());
-  EXPECT_EQ(throttled_node.shards().total_bytes(), clean_node.shards().total_bytes());
+  EXPECT_EQ(JoinerState(*throttled, throttled_report.joiner),
+            JoinerState(*clean, clean_report.joiner));
 
   // And the throttled run itself is deterministic: an identical rig reruns
   // to the same timing and per-peer attribution, byte for byte.
-  IciRig rerun(chain, 20, 2, /*serve_rate_bps=*/1'000'000.0);
-  const auto rerun_report = core::Bootstrapper::join(*rerun.net, {50, 50});
+  const auto rerun = make_host(GetParam(), chain, /*serve_rate_bps=*/1'000'000.0);
+  const host::JoinReport rerun_report = rerun->bootstrap({50, 50});
   ASSERT_TRUE(rerun_report.complete);
   EXPECT_EQ(rerun_report.elapsed_us, throttled_report.elapsed_us);
   EXPECT_EQ(rerun_report.bytes_downloaded, throttled_report.bytes_downloaded);
@@ -161,6 +196,10 @@ TEST(Sync, ThrottledJoinLandsBitIdentical) {
     EXPECT_EQ(rerun_report.sync.by_peer[i].bytes, throttled_report.sync.by_peer[i].bytes);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Flavours, SyncJoin,
+                         ::testing::Values("ici", "fullrep", "rapidchain"),
+                         [](const auto& info) { return std::string(info.param); });
 
 // Differential test against the closed-form byte accounting the old E05
 // used: with no faults, a full-replication joiner's verified payload equals
@@ -190,8 +229,9 @@ TEST(Sync, FullRepPayloadMatchesClosedForm) {
 TEST(Sync, IciPayloadMatchesAssignment) {
   const Chain chain = make_test_chain(20);
   IciRig rig(chain);
-  const auto report = core::Bootstrapper::join(*rig.net, {50, 50});
+  const auto report = rig.net->bootstrap({50, 50});
   ASSERT_TRUE(report.complete);
+  const std::size_t joined = rig.net->directory().cluster_of(report.joiner);
 
   EXPECT_EQ(report.sync.header_payload_bytes,
             static_cast<std::uint64_t>(chain.size()) * BlockHeader::kWireSize);
@@ -199,7 +239,7 @@ TEST(Sync, IciPayloadMatchesAssignment) {
   std::uint64_t assigned_bodies = 0;
   for (std::uint64_t h = 0; h <= chain.height(); ++h) {
     const Hash256 hash = chain.at_height(h).hash();
-    const auto storers = rig.net->storers_of(hash, h, report.cluster, false);
+    const auto storers = rig.net->storers_of(hash, h, joined, false);
     if (std::find(storers.begin(), storers.end(), report.joiner) != storers.end())
       ++assigned_bodies;
   }

@@ -22,7 +22,6 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
-#include "ici/bootstrap.h"
 #include "ici/network.h"
 #include "metrics/memstats.h"
 #include "obs/bench_report.h"
@@ -219,7 +218,7 @@ int main(int argc, char** argv) {
     scfg.range_blocks = static_cast<std::uint32_t>(sync_range);
     scfg.per_peer_window = static_cast<std::uint32_t>(sync_window);
     scfg.max_peers = static_cast<std::uint32_t>(sync_peers);
-    const auto join = core::Bootstrapper::join(*network, {50, 50}, scfg);
+    const auto join = network->bootstrap({50, 50}, scfg);
 
     std::cout << "\nBulk-sync join:\n";
     Table jt({"metric", "value"});
