@@ -20,7 +20,6 @@
 #include "ici/network.h"
 #include "metrics/memstats.h"
 #include "obs/bench_report.h"
-#include "sim/shard.h"
 #include "storage/storage_meter.h"
 #include "storage/store_metrics.h"
 
@@ -37,11 +36,10 @@ inline void print_experiment_header(const std::string& id, const std::string& ti
 using ici::BenchOptions;
 
 /// The store backend the bench actually constructed, stamped into the
-/// artifact as config.store_backend (read by record_thread_config — same
-/// process-global pattern as the shard count). Set by store_config_from,
-/// NOT by flag parsing: a bench that ignores --store truthfully stamps
-/// "mem", so an artifact claiming "disk" always carries the store.*
-/// instrumentation the schema checker demands of disk captures.
+/// artifact as config.store_backend (read by record_thread_config). Set by
+/// store_config_from, NOT by flag parsing: a bench that ignores --store
+/// truthfully stamps "mem", so an artifact claiming "disk" always carries
+/// the store.* instrumentation the schema checker demands of disk captures.
 inline std::string& current_store_backend() {
   static std::string backend = "mem";
   return backend;
@@ -60,14 +58,10 @@ inline StoreConfig store_config_from(const BenchOptions& opts) {
 }
 
 inline BenchOptions parse_bench_options(int argc, char** argv, std::string_view name) {
-  BenchOptions opts = parse_bench_options_or_exit(
+  return parse_bench_options_or_exit(
       argc, argv, std::string(name),
       "paper experiment; writes BENCH_" + std::string(name) +
           ".json (schema ici-bench-v1) into the current directory or $ICI_BENCH_DIR");
-  // --shards routes through sim/ (a layer common/flags.cpp cannot link):
-  // every facade built after this picks the lane count up as its default.
-  sim::set_default_shards(std::max<std::uint64_t>(1, opts.shards));
-  return opts;
 }
 
 /// Attaches summed storage-backend tallies to the artifact as the store.*
@@ -102,7 +96,6 @@ inline void add_store_counters(obs::BenchReport& report, const StoreCounters& t)
 inline void record_thread_config(obs::BenchReport& report) {
   report.set_config("threads", ThreadPool::global().thread_count());
   report.set_config("cpu_backend", std::string(cpu::backend_name()));
-  report.set_config("shards", sim::default_shards());
   report.set_config("store_backend", current_store_backend());
 }
 
@@ -235,36 +228,6 @@ struct LiveIciRig {
 
   std::unique_ptr<ChainGenerator> gen;
   std::unique_ptr<core::IciNetwork> net;
-  std::unique_ptr<Chain> chain;
-};
-
-/// Live full-replication rig with the same workload shape.
-struct LiveFullRepRig {
-  LiveFullRepRig(std::size_t nodes, std::size_t txs_per_block, std::uint64_t seed = 42) {
-    ChainGenConfig ccfg;
-    ccfg.txs_per_block = txs_per_block;
-    ccfg.workload.seed = seed;
-    ccfg.workload.wallet_count = 64;
-    ccfg.workload.genesis_outputs_per_wallet = 8;
-    gen = std::make_unique<ChainGenerator>(ccfg);
-
-    baseline::FullRepConfig cfg;
-    cfg.node_count = nodes;
-    net = std::make_unique<baseline::FullRepNetwork>(cfg);
-
-    Block genesis = gen->workload().make_genesis();
-    gen->workload().confirm(genesis);
-    chain = std::make_unique<Chain>(genesis);
-    net->init_with_genesis(genesis);
-  }
-
-  sim::SimTime step() {
-    chain->append(gen->next_block(*chain));
-    return net->disseminate_and_settle(chain->tip());
-  }
-
-  std::unique_ptr<ChainGenerator> gen;
-  std::unique_ptr<baseline::FullRepNetwork> net;
   std::unique_ptr<Chain> chain;
 };
 

@@ -26,9 +26,7 @@
 #include "erasure/rs.h"
 #include "ici/codec.h"
 #include "obs/bench_report.h"
-#include "sim/lbts.h"
 #include "sim/network.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -208,12 +206,7 @@ void BM_ReedSolomonReconstructWithErasures(benchmark::State& state) {
 BENCHMARK(BM_ReedSolomonReconstructWithErasures)->Arg(4096)->Arg(65536)->Arg(1048576);
 
 // Multicast fan-out through the event engine: a driver node repeatedly
-// multicasts a fixed message to 32 recipients, recipients are sinks. At
-// --shards 1 (Arg 1) this measures the plain unsharded delivery path; with
-// 2 lanes (Arg 2) the driver sits alone on lane 0 and every recipient on
-// lane 1, so each fan-out executed inside a parallel window exercises the
-// DeliveryBatch lane-hoist: one mailbox lock per multicast instead of one
-// per recipient (Simulator::schedule_for_batched).
+// multicasts a fixed message to 32 recipients, recipients are sinks.
 struct FanoutMsg final : sim::MessageBase {
   [[nodiscard]] std::size_t wire_size() const override { return 256; }
   [[nodiscard]] const char* type_name() const override { return "fanout"; }
@@ -241,16 +234,13 @@ class FanoutDriver final : public sim::INode {
   std::size_t rounds_;
 };
 
-void BM_MulticastFanoutLaneHoist(benchmark::State& state) {
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
+void BM_MulticastFanout(benchmark::State& state) {
   constexpr std::size_t kNodes = 64;
   constexpr std::size_t kFanout = 32;
   constexpr std::size_t kRounds = 64;
   for (auto _ : state) {
     sim::Simulator simulator;
-    sim::NetworkConfig net_cfg;
-    if (shards > 1) simulator.configure_shards(shards, sim::lookahead_from(net_cfg));
-    sim::Network net(simulator, net_cfg);
+    sim::Network net(simulator, sim::NetworkConfig{});
     std::vector<FanoutSink> sinks(kNodes - 1);
     std::vector<sim::NodeId> targets;  // ids are dense: driver 0, sinks 1..63
     for (sim::NodeId id = 1; id <= kFanout; ++id) targets.push_back(id);
@@ -259,20 +249,12 @@ void BM_MulticastFanoutLaneHoist(benchmark::State& state) {
     for (std::size_t i = 0; i < sinks.size(); ++i) {
       net.add_node(&sinks[i], {static_cast<double>(i % 8), 0});
     }
-    if (shards > 1) {
-      // Driver alone on lane 0; every recipient on lane 1 — the shape the
-      // batch hoist is built for (all parcels share one foreign mailbox).
-      simulator.set_node_lane(driver_id, 0);
-      for (std::size_t i = 0; i < sinks.size(); ++i) {
-        simulator.set_node_lane(static_cast<sim::NodeId>(driver_id + 1 + i), 1);
-      }
-    }
     net.send(driver_id, driver_id, std::make_shared<FanoutMsg>());
     benchmark::DoNotOptimize(simulator.run());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kRounds * kFanout);
 }
-BENCHMARK(BM_MulticastFanoutLaneHoist)->Arg(1)->Arg(2);
+BENCHMARK(BM_MulticastFanout);
 
 void BM_ChainGeneration(benchmark::State& state) {
   for (auto _ : state) {
@@ -302,7 +284,6 @@ class CollectingReporter final : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::uint64_t threads = 0;  // 0 = hardware concurrency; --smoke pins 2
-  std::uint64_t shards = 1;   // default event-lane count for sim-driven entries
   std::vector<char*> args;
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -313,10 +294,6 @@ int main(int argc, char** argv) {
       threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg.rfind("--threads=", 0) == 0) {
       threads = std::strtoull(std::string(arg.substr(10)).c_str(), nullptr, 10);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::strtoull(std::string(arg.substr(9)).c_str(), nullptr, 10);
     } else if ((arg == "--cpu" && i + 1 < argc) || arg.rfind("--cpu=", 0) == 0) {
       const std::string_view value = arg == "--cpu" ? std::string_view(argv[++i]) : arg.substr(6);
       if (!ici::cpu::set_backend_name(value)) {
@@ -331,8 +308,6 @@ int main(int argc, char** argv) {
                    "               (default: hardware concurrency; --smoke pins 2)\n"
                    "  --cpu MODE   SIMD dispatch tier: scalar | native (default native;\n"
                    "               also settable via ICI_CPU — see docs/CPU_BACKENDS.md)\n"
-                   "  --shards K   default event shards for sim-driven entries (the\n"
-                   "               fan-out entry also sweeps 1 and 2 explicitly)\n"
                    "  --help       this message\n\n"
                    "Any --benchmark_* flag is forwarded to google-benchmark.\n"
                    "Writes BENCH_exp13_micro.json to the working directory\n"
@@ -344,7 +319,6 @@ int main(int argc, char** argv) {
   }
   if (threads == 0 && smoke) threads = 2;
   ici::ThreadPool::set_global_threads(threads);
-  ici::sim::set_default_shards(shards == 0 ? 1 : shards);
   static char min_time_flag[] = "--benchmark_min_time=0.01";
   if (smoke) args.push_back(min_time_flag);
 
@@ -359,7 +333,6 @@ int main(int argc, char** argv) {
   report.set_smoke(smoke);
   report.set_config("benchmark_min_time_s", smoke ? 0.01 : 0.5);
   report.set_config("threads", ThreadPool::global().thread_count());
-  report.set_config("shards", ici::sim::default_shards());
   // Primitive microbenches build no block store; record the default backend
   // so the artifact satisfies the uniform ici-bench-v1 config schema.
   report.set_config("store_backend", "mem");

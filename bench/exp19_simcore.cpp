@@ -11,7 +11,6 @@
 // (events executed, peak pending, far-heap spills) next to wall clock.
 // Sim metrics are bit-reproducible; only wall_* and events_per_sec move
 // between runs.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -242,105 +241,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: events/sec roughly flat in N (O(1) amortized schedule/pop, "
                "no per-event heap traffic); peak pending grows with the fan-out, and inline "
                "misses stay 0 on the network path.\n";
-
-  // --- Part 3: sharded-engine sweep (per-cluster event lanes) --------------
-  // Same workload as Part 2's largest cell, at K ∈ {1, 2, 4, 8} event
-  // shards. sim.events_executed is bit-identical across K (the determinism
-  // contract, tests/test_shard_determinism.cpp); what changes is wall
-  // clock, barrier count, and how much traffic crosses lanes. A fullrep
-  // cell rides along for the cross-shard contrast: ICI's cluster-aligned
-  // lanes keep most messages lane-local, gossip does not.
-  std::cout << "\n";
-  const std::size_t shard_n = sizes.back();
-  const std::size_t fullrep_n = opts.smoke ? 40 : 1000;
-  Table shard_table({"strategy", "K", "events", "events/sec", "rounds", "barriers",
-                     "xshard msgs", "xshard frac", "wall ms"});
-  bool shard_counters_recorded = false;
-  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    sim::set_default_shards(k);
-    LiveIciRig rig(shard_n, shard_n / kClusterSize, kTxsPerBlock, /*replication=*/1, kSeed);
-    const auto start = Clock::now();
-    for (std::size_t b = 0; b < kBlocks; ++b) rig.step();
-    const double wall_s = seconds_since(start);
-
-    const auto& reg = rig.net->metrics();
-    const std::uint64_t events = counter_or_zero(reg, "sim.events_executed");
-    const std::uint64_t rounds = counter_or_zero(reg, "sim.shard_rounds");
-    const std::uint64_t barriers = counter_or_zero(reg, "sim.shard_barriers");
-    const std::uint64_t local = counter_or_zero(reg, "sim.shard_local_msgs");
-    const std::uint64_t xshard = counter_or_zero(reg, "sim.shard_xshard_msgs");
-    const double xfrac =
-        local + xshard > 0 ? static_cast<double>(xshard) / static_cast<double>(local + xshard)
-                           : 0.0;
-    const double eps = wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
-
-    shard_table.row({"ici", std::to_string(k), std::to_string(events),
-                     std::to_string(static_cast<std::uint64_t>(eps)), std::to_string(rounds),
-                     std::to_string(barriers), std::to_string(xshard),
-                     format_double(xfrac, 4), format_double(wall_s * 1000.0, 1)});
-    report.add_row("shards:ici:K=" + std::to_string(k))
-        .set("strategy", "ici")
-        .set("shards", k)
-        .set("nodes", shard_n)
-        .set("sim_events", events)
-        .set("events_per_sec", eps)
-        .set("shard_rounds", rounds)
-        .set("shard_barriers", barriers)
-        .set("local_msgs", local)
-        .set("xshard_msgs", xshard)
-        .set("xshard_fraction", xfrac)
-        .set("wall_ms", wall_s * 1000.0);
-    if (k > 1 && !shard_counters_recorded) {
-      // Mirror one sharded run's sim.shard_* counters into the artifact's
-      // counter block so the schema checker can require them for exp19.
-      report.add_counter("sim.shards", counter_or_zero(reg, "sim.shards"));
-      report.add_counter("sim.shard_rounds", rounds);
-      report.add_counter("sim.shard_barriers", barriers);
-      report.add_counter("sim.shard_lookahead_us", counter_or_zero(reg, "sim.shard_lookahead_us"));
-      report.add_counter("sim.shard_local_msgs", local);
-      report.add_counter("sim.shard_xshard_msgs", xshard);
-      shard_counters_recorded = true;
-    }
-  }
-  for (const std::size_t k : {std::size_t{2}, std::size_t{8}}) {
-    sim::set_default_shards(k);
-    LiveFullRepRig rig(fullrep_n, kTxsPerBlock, kSeed);
-    const auto start = Clock::now();
-    for (std::size_t b = 0; b < kBlocks; ++b) rig.step();
-    const double wall_s = seconds_since(start);
-
-    const auto& reg = rig.net->metrics();
-    const std::uint64_t events = counter_or_zero(reg, "sim.events_executed");
-    const std::uint64_t rounds = counter_or_zero(reg, "sim.shard_rounds");
-    const std::uint64_t barriers = counter_or_zero(reg, "sim.shard_barriers");
-    const std::uint64_t local = counter_or_zero(reg, "sim.shard_local_msgs");
-    const std::uint64_t xshard = counter_or_zero(reg, "sim.shard_xshard_msgs");
-    const double xfrac =
-        local + xshard > 0 ? static_cast<double>(xshard) / static_cast<double>(local + xshard)
-                           : 0.0;
-    const double eps = wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
-    shard_table.row({"fullrep", std::to_string(k), std::to_string(events),
-                     std::to_string(static_cast<std::uint64_t>(eps)), std::to_string(rounds),
-                     std::to_string(barriers), std::to_string(xshard),
-                     format_double(xfrac, 4), format_double(wall_s * 1000.0, 1)});
-    report.add_row("shards:fullrep:K=" + std::to_string(k))
-        .set("strategy", "fullrep")
-        .set("shards", k)
-        .set("nodes", fullrep_n)
-        .set("sim_events", events)
-        .set("events_per_sec", eps)
-        .set("shard_rounds", rounds)
-        .set("shard_barriers", barriers)
-        .set("local_msgs", local)
-        .set("xshard_msgs", xshard)
-        .set("xshard_fraction", xfrac)
-        .set("wall_ms", wall_s * 1000.0);
-  }
-  sim::set_default_shards(std::max<std::uint64_t>(1, opts.shards));  // restore --shards
-  shard_table.print(std::cout);
-  std::cout << "\nExpected shape: ICI's cluster-aligned lanes keep the cross-shard fraction "
-               "near zero (head-to-head commits only), while fullrep gossip crosses lanes "
-               "roughly (K-1)/K of the time; events is identical at every K.\n";
   finish_report(report, sizes.back());
   return 0;
 }

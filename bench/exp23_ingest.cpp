@@ -14,7 +14,7 @@
 // stretches with queueing delay.
 //
 // Every ingest.*/mempool.* number is deterministic — bit-identical at any
-// --threads/--shards (tests/test_ingest.cpp) — so the artifact doubles as a
+// --threads (tests/test_ingest.cpp) — so the artifact doubles as a
 // cross-configuration fingerprint. A final non-smoke pass reruns one cell
 // at 1/2/4 worker lanes to demonstrate it inside the artifact (identical
 // counters, wall clock free to move).

@@ -6,7 +6,6 @@
 #include "cluster/node_info.h"
 #include "common/rng.h"
 #include "obs/trace.h"
-#include "sim/shard.h"
 
 namespace ici::baseline {
 
@@ -108,16 +107,12 @@ std::vector<sim::NodeId> FullRepNode::sync_body_candidates(const Hash256&,
 FullRepNetwork::FullRepNetwork(FullRepConfig cfg) : Host(cfg), cfg_(cfg) {
   if (cfg_.node_count < 2) throw std::invalid_argument("FullRepNetwork: need >= 2 nodes");
 
-  // No clusters here, so event lanes are contiguous id runs — gossip fans
-  // out everywhere, so expect a high cross-shard message fraction relative
-  // to ICI (exp19's contrast).
   const auto infos =
       cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed, 100.0, false);
   reserve_nodes(infos.size());
   for (const auto& info : infos) {
     FullRepNode& node = nodes_.emplace_back(*this, info.id);
-    add_node(node, node.store(), info.coord,
-             sim::contiguous_lane(info.id, cfg_.node_count, shards()));
+    add_node(node, node.store(), info.coord);
   }
 
   // Random connected-ish peer graph: a ring (guarantees connectivity) plus
@@ -169,14 +164,10 @@ sim::SimTime FullRepNetwork::disseminate_and_settle(const Block& block) {
 }
 
 void FullRepNetwork::note_stored(const Hash256& hash) {
-  if (!defer(hash)) apply_record({simulator().now(), 0, hash});
-}
-
-void FullRepNetwork::apply_record(const Record& stored) {
-  const auto it = spreads_.find(stored.hash);
+  const auto it = spreads_.find(hash);
   if (it == spreads_.end()) return;
   it->second.holders += 1;
-  if (it->second.holders >= network().online_count()) it->second.finished = stored.at;
+  if (it->second.holders >= network().online_count()) it->second.finished = simulator().now();
 }
 
 void FullRepNetwork::preload_chain(const Chain& chain) {
@@ -194,7 +185,7 @@ sim::NodeId FullRepNetwork::add_sync_joiner(sim::Coord coord) {
   FullRepNode& node = nodes_.emplace_back(*this, id);
   std::vector<sim::NodeId> existing(id);
   for (sim::NodeId i = 0; i < id; ++i) existing[i] = i;
-  add_node(node, node.store(), coord, sim::contiguous_lane(id, cfg_.node_count, shards()));
+  add_node(node, node.store(), coord);
 
   // Link the joiner to its peer_degree nearest nodes — the pull peers of the
   // multi-peer bulk sync.

@@ -118,7 +118,6 @@ class FullRepNetwork final : public host::Host {
   void note_stored(const Hash256& hash);
 
  private:
-  void apply_record(const Record& stored) override;
   sync::PeerSession& sync_peer(sim::NodeId id) override { return nodes_.at(id); }
   [[nodiscard]] std::vector<sim::NodeId> join_candidates(sim::NodeId joiner,
                                                          const sync::SyncConfig&) override {

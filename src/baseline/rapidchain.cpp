@@ -137,13 +137,11 @@ RapidChainNetwork::RapidChainNetwork(RapidChainConfig cfg) : Host(cfg), cfg_(cfg
   for (std::size_t c = 0; c < committees_.size(); ++c)
     for (sim::NodeId id : committees_[c]) committee_of[id] = c;
 
-  // Whole committees share an event lane, so IDA gossip — which never
-  // leaves the committee — stays lane-local.
   reserve_nodes(infos.size());
   for (const auto& info : infos) {
     const std::size_t c = committee_of[info.id];
     RapidChainNode& node = nodes_.emplace_back(*this, info.id, c);
-    add_node(node, node.store(), info.coord, c);
+    add_node(node, node.store(), info.coord);
   }
 }
 
@@ -194,14 +192,10 @@ std::shared_ptr<const Block> RapidChainNetwork::pending_block(const Hash256& has
 }
 
 void RapidChainNetwork::note_stored(const Hash256& hash) {
-  if (!defer(hash)) apply_record({simulator().now(), 0, hash});
-}
-
-void RapidChainNetwork::apply_record(const Record& stored) {
-  const auto it = spreads_.find(stored.hash);
+  const auto it = spreads_.find(hash);
   if (it == spreads_.end()) return;
   it->second.holders += 1;
-  if (it->second.holders >= it->second.committee_size) it->second.finished = stored.at;
+  if (it->second.holders >= it->second.committee_size) it->second.finished = simulator().now();
 }
 
 void RapidChainNetwork::preload_chain(const Chain& chain) {
@@ -218,7 +212,7 @@ sim::NodeId RapidChainNetwork::add_sync_joiner(sim::Coord coord) {
   const auto id = static_cast<sim::NodeId>(node_count());
   const std::size_t c = hashed_committee(id, cfg_.committee_count);
   RapidChainNode& node = nodes_.emplace_back(*this, id, c);
-  add_node(node, node.store(), coord, c);
+  add_node(node, node.store(), coord);
   committees_[c].push_back(id);
   return id;
 }

@@ -9,7 +9,7 @@
 // hundreds of thousands of simulated users submitting fee-bearing
 // transactions over simulated time, with realistic skew — Zipf-popular hot
 // accounts, bursty windows, a diurnal phase — all drawn from one explicitly
-// seeded Rng so a run replays bit-identically at any --threads/--shards.
+// seeded Rng so a run replays bit-identically at any --threads.
 #pragma once
 
 #include <deque>

@@ -133,9 +133,6 @@ void add_bench_flags(FlagParser& parser, BenchOptions* opts) {
   parser.add_string("fault-plan", &opts->fault_plan,
                     "fault-injection spec, e.g. seed=7,crash=0.3,drop=0.1 "
                     "(see docs/FAULTS.md; empty = faults disabled)");
-  parser.add_uint("shards", &opts->shards,
-                  "event shards (parallel simulator lanes); sim metrics are "
-                  "bit-identical for any value (docs/SIMULATOR.md)");
   parser.add_double("tx-rate", &opts->tx_rate,
                     "offered client load in tx/s of sim time for ingest-driven "
                     "runs (0 = binary default; docs/INGEST.md)");

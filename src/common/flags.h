@@ -60,10 +60,6 @@ struct BenchOptions {
   std::string cpu;            // "" = keep the default dispatch tier
   std::uint64_t seed = 42;
   std::string fault_plan;  // sim::FaultPlan::parse spec ("" = disabled)
-  /// Event shards (parallel simulator lanes). Applied via
-  /// sim::set_default_shards by the sim-linking callers (bench_util's
-  /// parse_bench_options, icisim) — common/ cannot depend on sim/.
-  std::uint64_t shards = 1;
   /// Offered client load in tx/s of simulated time for the ingest-driven
   /// runs (docs/INGEST.md). 0 = the binary's default (exp23 sweeps a
   /// built-in ladder).

@@ -37,13 +37,12 @@ class RunningStat {
 /// Retains all samples; percentiles are exact (nearest-rank on the sorted
 /// sample). Fine for simulation scales (≤ millions of samples).
 ///
-/// Thread-safe: add() may be called from concurrent event lanes (sim
-/// sharding). Every aggregate — including sum/mean/stddev — is computed
-/// from the *sorted* sample on demand, so the results are a pure function
-/// of the sample multiset: identical no matter which order lanes appended
-/// in (a streaming Welford accumulator would leak insertion order through
-/// floating-point non-associativity and break the cross-K bit-identity
-/// contract).
+/// Thread-safe: add() may be called from worker-pool threads. Every
+/// aggregate — including sum/mean/stddev — is computed from the *sorted*
+/// sample on demand, so the results are a pure function of the sample
+/// multiset: identical no matter which order threads appended in (a
+/// streaming Welford accumulator would leak insertion order through
+/// floating-point non-associativity).
 class Histogram {
  public:
   Histogram() = default;

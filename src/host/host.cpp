@@ -5,8 +5,6 @@
 
 #include "metrics/sim_metrics.h"
 #include "obs/trace.h"
-#include "sim/lbts.h"
-#include "sim/shard.h"
 #include "storage/store_metrics.h"
 
 namespace ici::host {
@@ -44,15 +42,6 @@ void record_join(metrics::Registry& m, const sync::SyncReport& r) {
 
 Host::Host(const HostConfig& cfg) {
   net_ = std::make_unique<sim::Network>(sim_, cfg.net);
-  // Configured before any node registers (the simulator requires an empty
-  // calendar). Facades choose lane groups so their dominant traffic stays
-  // lane-local: whole clusters / committees, contiguous id runs otherwise.
-  shards_ = cfg.shards == 0 ? sim::default_shards() : cfg.shards;
-  if (shards_ > 1) {
-    sim_.configure_shards(shards_, sim::lookahead_from(cfg.net));
-    sim_.set_barrier_hook([this] { flush_deferred(); });
-    deferred_.resize(shards_);
-  }
   if (cfg.sync_serve_rate_bps > 0.0)
     serve_throttle_ = std::make_unique<sync::ServeThrottle>(cfg.sync_serve_rate_bps);
   store_runtime_ = std::make_unique<StoreRuntime>(cfg.store);
@@ -66,11 +55,9 @@ void Host::reserve_nodes(std::size_t n) {
   stores_.reserve(n);
 }
 
-void Host::add_node(sim::INode& node, BlockStore& store, sim::Coord coord,
-                    std::size_t lane_group) {
+void Host::add_node(sim::INode& node, BlockStore& store, sim::Coord coord) {
   const sim::NodeId id = net_->add_node(&node, coord);
   fleet_tally_.ensure_size(static_cast<std::size_t>(id) + 1);
-  if (shards_ > 1) sim_.set_node_lane(id, static_cast<std::uint32_t>(lane_group % shards_));
   install_backend(store, id);
   stores_.push_back(&store);
 }
@@ -80,8 +67,7 @@ void Host::install_backend(BlockStore& store, sim::NodeId id) {
   if (!backend) return;  // mem: the store's built-in backend is already right
   IoEnv env;
   env.now = [this] { return sim_.now(); };
-  // Retirement events run on the owning node's lane: lane-local during
-  // parallel windows, so IO completions stay shard-invariant.
+  // Retirement events execute as the owning node.
   env.schedule_at = [this, id](std::uint64_t at, std::function<void()> fn) {
     sim_.schedule_for(id, at, std::move(fn));
   };
@@ -116,26 +102,6 @@ void Host::settle() {
 void Host::run_for(sim::SimTime us) {
   sim_.run_until(sim_.now() + us);
   mirror_counters();
-}
-
-bool Host::defer(const Hash256& hash, std::uint64_t height, std::size_t size_bytes) {
-  if (!sim_.in_parallel_phase()) return false;
-  const sim::Simulator::EventRef ev = sim_.current_event();
-  deferred_[sim_.current_lane()].push_back({ev.at, ev.key, hash, height, size_bytes});
-  return true;
-}
-
-void Host::flush_deferred() {
-  std::vector<Record> all;
-  for (auto& lane : deferred_) {
-    all.insert(all.end(), lane.begin(), lane.end());
-    lane.clear();
-  }
-  if (all.empty()) return;
-  std::sort(all.begin(), all.end(), [](const Record& a, const Record& b) {
-    return a.at != b.at ? a.at < b.at : a.key < b.key;
-  });
-  for (const Record& record : all) apply_record(record);
 }
 
 void Host::start_faults(const sim::FaultPlan& plan) {

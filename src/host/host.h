@@ -4,8 +4,7 @@
 // baseline::RapidChainNetwork) derives from Host and keeps only its
 // protocol; the host owns everything else:
 //
-//   * the simulator and the sim::Network, with the event-lane map
-//     (`lane_group % shards`) and the barrier-flushed deferred records;
+//   * the simulator and the sim::Network;
 //   * the fleet's header index, storage tallies, store runtime and the
 //     per-node backend install;
 //   * fault injection, the online/offline status observer and the
@@ -46,9 +45,6 @@ struct HostConfig {
   /// Geographic regions in the synthetic topology.
   std::size_t regions = 5;
   std::uint64_t seed = 1;
-  /// Event lanes for the simulator; 0 means sim::default_shards() (the
-  /// --shards flag), 1 runs the classic single-queue engine.
-  std::size_t shards = 0;
   /// Serve-side bulk-sync rate limit per (server, peer) pair in bytes per
   /// second of sim time; 0 disables throttling (--sync-serve-rate).
   double sync_serve_rate_bps = 0.0;
@@ -85,8 +81,6 @@ class Host {
   [[nodiscard]] const sim::Network& network() const { return *net_; }
   [[nodiscard]] metrics::Registry& metrics() { return metrics_; }
   [[nodiscard]] std::size_t node_count() const { return stores_.size(); }
-  /// Resolved event-lane count (HostConfig::shards or the --shards default).
-  [[nodiscard]] std::size_t shards() const { return shards_; }
 
   /// The fleet-shared header table every node's BlockStore interns into.
   [[nodiscard]] const std::shared_ptr<HeaderIndex>& header_index() const {
@@ -141,32 +135,13 @@ class Host {
   /// Pre-sizes the per-node tables for `n` nodes (avoids regrowth copies).
   void reserve_nodes(std::size_t n);
   /// Registers a node constructed with the next dense id (node_count()):
-  /// network slot, storage tally row, event lane `lane_group % shards()`
-  /// and, for the disk store, its backend. Nodes sharing a lane group share
-  /// a lane.
-  void add_node(sim::INode& node, BlockStore& store, sim::Coord coord, std::size_t lane_group);
+  /// network slot, storage tally row and, for the disk store, its backend.
+  void add_node(sim::INode& node, BlockStore& store, sim::Coord coord);
 
   /// Genesis-once guard: begin_genesis throws on a second call,
   /// require_genesis before the first.
   void begin_genesis();
   void require_genesis() const;
-
-  /// Bookkeeping a facade does when a node stores or commits a block.
-  struct Record {
-    sim::SimTime at = 0;
-    std::uint64_t key = 0;
-    Hash256 hash;
-    std::uint64_t height = 0;
-    std::size_t size_bytes = 0;
-  };
-  /// Inside a parallel shard window, buffers the record under the running
-  /// event's (at, key) and returns true; the barrier replays the buffered
-  /// records to apply_record in (at, key) order — the order the single-queue
-  /// engine would have applied them — so bookkeeping is identical for every
-  /// lane count. Returns false outside a window: the caller applies the
-  /// record now.
-  bool defer(const Hash256& hash, std::uint64_t height = 0, std::size_t size_bytes = 0);
-  virtual void apply_record(const Record& record) { (void)record; }
 
   /// Online/offline flip from churn or fault injection: counts it
   /// (churn.up / churn.down), lets the facade react, then tells the
@@ -193,11 +168,9 @@ class Host {
  private:
   void install_backend(BlockStore& store, sim::NodeId id);
   void mirror_counters();
-  void flush_deferred();
 
   sim::Simulator sim_;
   std::unique_ptr<sim::Network> net_;
-  std::size_t shards_ = 1;
   std::shared_ptr<HeaderIndex> header_index_ = std::make_shared<HeaderIndex>();
   FleetTally fleet_tally_;
   std::unique_ptr<StoreRuntime> store_runtime_;
@@ -207,7 +180,6 @@ class Host {
   std::unique_ptr<sim::FaultInjector> faults_;
   std::unique_ptr<sync::ServeThrottle> serve_throttle_;
   metrics::Registry metrics_;
-  std::vector<std::vector<Record>> deferred_;
   StatusObserver status_observer_;
   bool genesis_done_ = false;
 };

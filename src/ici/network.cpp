@@ -44,12 +44,10 @@ IciNetwork::IciNetwork(IciNetworkConfig cfg) : Host(cfg), cfg_(std::move(cfg)) {
                                                     cfg_.ici.erasure_parity);
   }
 
-  // Whole clusters share an event lane, so the dominant intra-cluster
-  // traffic never crosses a lane boundary.
   reserve_nodes(infos_.size());
   for (const cluster::NodeInfo& info : infos_) {
     IciNode& node = nodes_.emplace_back(*this, info.id);
-    add_node(node, node.store(), info.coord, directory_->cluster_of(info.id));
+    add_node(node, node.store(), info.coord);
   }
 
   // The newest network drives the trace sink's sim clock; the token keeps a
@@ -200,22 +198,15 @@ sim::SimTime IciNetwork::disseminate_and_settle(const Block& block) {
 }
 
 void IciNetwork::note_commit(const Block& block) {
-  // Commit handlers on different lanes would race on progress_/committed_,
-  // so inside a parallel window the host buffers the record for the barrier.
   const Hash256 hash = block.hash();
-  if (!defer(hash, block.header().height, block.serialized_size()))
-    apply_record({simulator().now(), 0, hash, block.header().height, block.serialized_size()});
-}
-
-void IciNetwork::apply_record(const Record& commit) {
-  auto& prog = progress_[commit.hash];
+  auto& prog = progress_[hash];
   prog.clusters_committed += 1;
   if (prog.clusters_committed == 1) {
-    committed_index_.emplace(commit.hash, committed_.size());
-    committed_.push_back({commit.hash, commit.height, commit.size_bytes});
+    committed_index_.emplace(hash, committed_.size());
+    committed_.push_back({hash, block.header().height, block.serialized_size()});
   }
   if (prog.clusters_committed == directory_->cluster_count()) {
-    prog.fully_committed_at = commit.at;
+    prog.fully_committed_at = simulator().now();
   }
 }
 
@@ -598,7 +589,7 @@ NodeId IciNetwork::add_joiner(sim::Coord coord, std::size_t cluster) {
   infos_.push_back(info);
   directory_->add_member(info, cluster);
   IciNode& node = nodes_.emplace_back(*this, info.id);
-  add_node(node, node.store(), coord, cluster);
+  add_node(node, node.store(), coord);
   return info.id;
 }
 

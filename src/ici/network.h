@@ -168,7 +168,6 @@ class IciNetwork final : public host::Host {
   /// Crash/restart or churn flip: update the directory, then repair.
   void on_status_change(sim::NodeId id, bool online) override;
   void repair_cluster_coded(std::size_t cluster);
-  void apply_record(const Record& commit) override;
   sync::PeerSession& sync_peer(sim::NodeId id) override { return nodes_.at(id); }
   [[nodiscard]] std::vector<sim::NodeId> join_candidates(
       sim::NodeId joiner, const sync::SyncConfig& cfg) override;

@@ -11,8 +11,7 @@
 // admits survivors to the fee-prioritized mempool in submission order.
 //
 // Everything is plain harness code driven by explicit submit()/advance()
-// calls carrying simulated time: no simulator events, no RNG, so the whole
-// pipeline is trivially deterministic under --shards as well.
+// calls carrying simulated time: no simulator events and no RNG.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,7 @@
 // Determinism: the driver adds no RNG and no simulator events of its own;
 // arrivals are computed (TrafficGenerator), prescreen is chunk-ordered
 // (TxAcceptor), and dissemination is the strategy's own bit-identical
-// simulation — so every DriverReport field is identical at any
-// --threads/--shards combination.
+// simulation — so every DriverReport field is identical at any --threads.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +41,7 @@ struct DriverConfig {
   Mempool::Config mempool;
   AcceptorConfig acceptor;
   /// Record the txid of every accepted tx in admission order (the
-  /// determinism suites compare it across --threads/--shards).
+  /// determinism suites compare it across --threads).
   bool capture_accepted_order = false;
   std::uint64_t miner_seed = 0xace;
   /// Invoked right after Strategy::init — e.g. to install a fault plan

@@ -11,10 +11,9 @@
 
 namespace ici::metrics {
 
-/// Monotonic counter. Increments are relaxed atomics so protocol handlers
-/// running on concurrent event lanes (sim sharding, docs/SIMULATOR.md) can
-/// bump shared counters without locks; the summed value is order-free and
-/// therefore deterministic for a deterministic event set.
+/// Monotonic counter. Increments are relaxed atomics so worker-pool tasks
+/// can bump shared counters without locks; the summed value is order-free
+/// and therefore deterministic for a deterministic event set.
 class Counter {
  public:
   Counter() = default;

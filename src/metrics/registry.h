@@ -13,10 +13,10 @@ namespace ici::metrics {
 
 class Registry {
  public:
-  /// Finds or creates. Safe from concurrent event lanes: the find-or-create
-  /// is mutex-guarded and std::map nodes are stable, so the returned
-  /// references stay valid while other lanes insert. (Counter increments
-  /// and Distribution adds are themselves thread-safe.)
+  /// Finds or creates. Thread-safe: the find-or-create is mutex-guarded
+  /// and std::map nodes are stable, so the returned references stay valid
+  /// while other threads insert. (Counter increments and Distribution adds
+  /// are themselves thread-safe.)
   Counter& counter(const std::string& name);
   Distribution& distribution(const std::string& name);
 
@@ -24,7 +24,7 @@ class Registry {
   [[nodiscard]] const Distribution* find_distribution(const std::string& name) const;
 
   /// Whole-map views for report/emission code — harness contexts only (no
-  /// lane may be executing while iterating).
+  /// pool task may be inserting while iterating).
   [[nodiscard]] const std::map<std::string, Counter>& counters() const { return counters_; }
   [[nodiscard]] const std::map<std::string, Distribution>& distributions() const {
     return dists_;

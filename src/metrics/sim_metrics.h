@@ -21,24 +21,12 @@ inline void sync_sim_counters(Registry& reg, const sim::Simulator& sim) {
     c.reset();
     c.inc(v);
   };
-  const sim::EventQueue::Stats qs = sim.queue_stats();
+  const sim::EventQueue::Stats& qs = sim.queue_stats();
   set("sim.late_events", sim.late_events());
   set("sim.events_executed", qs.executed);
   set("sim.peak_pending", qs.peak_pending);
   set("sim.far_events", qs.far_events);
   set("sim.event_heap_fallbacks", qs.heap_fallback_events);
-  // Sharded-engine counters. shards/lookahead are configuration echoes;
-  // rounds/barriers/local/xshard are deterministic per K but — like
-  // peak_pending and far_events above — structurally K-dependent, so the
-  // cross-K bit-identity contract excludes them
-  // (tests/test_shard_determinism.cpp).
-  const sim::Simulator::ShardStats ss = sim.shard_stats();
-  set("sim.shards", ss.shards);
-  set("sim.shard_rounds", ss.rounds);
-  set("sim.shard_barriers", ss.barriers);
-  set("sim.shard_lookahead_us", ss.lookahead_us);
-  set("sim.shard_local_msgs", ss.local_msgs);
-  set("sim.shard_xshard_msgs", ss.xshard_msgs);
 }
 
 /// Overwrites the "faults.*" counters in `reg` with the injector's tallies

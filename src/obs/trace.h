@@ -73,8 +73,8 @@ class TraceSink {
   void reset();
 
   // Span support: effective label of the innermost open span on the calling
-  // thread ("" if none). Span stacks are per-thread so handlers on
-  // concurrent event lanes nest independently.
+  // thread ("" if none). Span stacks are per-thread so spans opened on
+  // worker-pool threads nest independently.
   [[nodiscard]] const std::string& current_path() const;
   void push_span(std::string effective_label);
   void pop_span();
@@ -97,8 +97,8 @@ class TraceSink {
   std::uint64_t clock_token_ = 0;
 };
 
-// RAII span. Spans opened on different threads (event lanes, docs/
-// THREADING.md) nest per-thread; on each thread spans must be destroyed in
+// RAII span. Spans opened on different threads (docs/THREADING.md) nest
+// per-thread; on each thread spans must be destroyed in
 // LIFO order, which scoping guarantees.
 class Span {
  public:

@@ -75,8 +75,8 @@ class EventQueue {
   }
 
   /// Schedules `ev` at absolute time `at`. Events at equal times run in
-  /// insertion order (the sequence number breaks ties). Legacy single-lane
-  /// API: never mix with schedule_keyed() on the same queue instance — the
+  /// insertion order (the sequence number breaks ties). Never mix with
+  /// schedule_keyed() on the same queue instance — the
   /// auto-assigned sequence numbers and caller-provided keys share one tie
   /// break space.
   void schedule_at(SimTime at, Event ev) {
@@ -94,18 +94,12 @@ class EventQueue {
     schedule_entry(at, next_seq_++, kNoOwner, idx);
   }
 
-  /// Keyed variant used by the sharded Simulator: the caller supplies the
-  /// tie-break key (unique per (at, key) across ALL lanes — Simulator packs
-  /// (source node, per-source counter) into it) and the owning node, which
-  /// run_next()/peek_next() hand back so the engine can establish the
-  /// execution context before invoking the closure.
-  void schedule_keyed(SimTime at, std::uint64_t key, std::uint32_t owner, Event ev) {
-    const std::uint32_t idx = pool_acquire();
-    *pool_at(idx) = std::move(ev);
-    schedule_entry(at, key, owner, idx);
-  }
-
-  template <typename F, typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Event>>>
+  /// Keyed variant used by the Simulator: the caller supplies the tie-break
+  /// key (unique per (at, key) — Simulator packs (source node, per-source
+  /// counter) into it) and the owning node, which run_next()/peek_next()
+  /// hand back so the engine can establish the execution context before
+  /// invoking the closure.
+  template <typename F>
   void schedule_keyed(SimTime at, std::uint64_t key, std::uint32_t owner, F&& action) {
     const std::uint32_t idx = pool_acquire();
     pool_at(idx)->emplace(std::forward<F>(action));

@@ -131,17 +131,6 @@ void FaultInjector::ensure_nodes(std::size_t n) {
   }
 }
 
-FaultStats FaultInjector::stats() const {
-  FaultStats s;
-  s.msgs_dropped = stats_.msgs_dropped.load(std::memory_order_relaxed);
-  s.msgs_duplicated = stats_.msgs_duplicated.load(std::memory_order_relaxed);
-  s.msgs_delayed = stats_.msgs_delayed.load(std::memory_order_relaxed);
-  s.partition_drops = stats_.partition_drops.load(std::memory_order_relaxed);
-  s.crashes = stats_.crashes.load(std::memory_order_relaxed);
-  s.restarts = stats_.restarts.load(std::memory_order_relaxed);
-  return s;
-}
-
 FaultInjector::~FaultInjector() {
   if (net_.faults() == this) net_.install_faults(nullptr);
 }
@@ -178,9 +167,9 @@ void FaultInjector::start(const std::vector<NodeId>& candidates, Callback on_cha
 void FaultInjector::flip(NodeId id, bool online) {
   net_.set_online(id, online);
   if (online) {
-    stats_.restarts.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.restarts;
   } else {
-    stats_.crashes.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.crashes;
   }
   if (on_change_) on_change_(id, online);
 }
@@ -229,26 +218,26 @@ FaultInjector::SendVerdict FaultInjector::on_send(NodeId from, NodeId to,
   // the random-fault stream stays aligned across plans that only differ in
   // partition windows.
   if (partitioned(from, to, net_.simulator().now())) {
-    stats_.partition_drops.fetch_add(1, std::memory_order_relaxed);
-    stats_.msgs_dropped.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.partition_drops;
+    ++stats_.msgs_dropped;
     v.drop = true;
     return v;
   }
   const MessageFaultRule& rule = rule_for(msg.type_name());
   // The sender's private stream: only the sender's own handlers advance
-  // it, in their (K-invariant) execution order.
+  // it, in their execution order.
   ici::Rng& rng = msg_rngs_[from];
   if (rule.drop_prob > 0.0 && rng.chance(rule.drop_prob)) {
-    stats_.msgs_dropped.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.msgs_dropped;
     v.drop = true;
     return v;
   }
   if (rule.duplicate_prob > 0.0 && rng.chance(rule.duplicate_prob)) {
-    stats_.msgs_duplicated.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.msgs_duplicated;
     v.duplicate_delay_us = rng.exponential(kDuplicateGapMeanUs);
   }
   if (rule.extra_delay_mean_us > 0.0) {
-    stats_.msgs_delayed.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.msgs_delayed;
     v.extra_delay_us = rng.exponential(rule.extra_delay_mean_us);
   }
   return v;

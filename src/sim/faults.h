@@ -12,7 +12,6 @@
 // values and behaves byte-identically to a fault-free build.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -133,10 +132,8 @@ class FaultInjector {
     double duplicate_delay_us = -1.0;
   };
   /// Called by Network::schedule_delivery for every non-loopback message.
-  /// Safe from concurrent event lanes: randomness comes from the *sender's*
-  /// private fault stream (draw order = the sender's send order, which the
-  /// determinism contract fixes for every lane count) and tallies are
-  /// atomic.
+  /// Randomness comes from the *sender's* private fault stream, so draw
+  /// order is the sender's send order.
   SendVerdict on_send(NodeId from, NodeId to, const MessageBase& msg);
 
   /// Grows the per-sender fault streams to cover node ids < n. Called by
@@ -145,8 +142,8 @@ class FaultInjector {
   void ensure_nodes(std::size_t n);
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-  /// Snapshot of the deterministic tallies.
-  [[nodiscard]] FaultStats stats() const;
+  /// The deterministic tallies.
+  [[nodiscard]] const FaultStats& stats() const { return stats_; }
   /// Nodes the random schedule selected for crash/restart sessions.
   [[nodiscard]] const std::vector<NodeId>& crash_set() const { return crash_set_; }
 
@@ -159,22 +156,13 @@ class FaultInjector {
 
   Network& net_;
   FaultPlan plan_;
-  /// Crash/restart schedule stream: drawn only from sequential contexts
-  /// (start() + global flip events), so it stays shared.
+  /// Crash/restart schedule stream (start() + global flip events).
   ici::Rng rng_;
   /// Per-sender message-fault streams, indexed by node id.
   std::vector<ici::Rng> msg_rngs_;
   Callback on_change_;
   std::vector<NodeId> crash_set_;
-  struct AtomicStats {
-    std::atomic<std::uint64_t> msgs_dropped{0};
-    std::atomic<std::uint64_t> msgs_duplicated{0};
-    std::atomic<std::uint64_t> msgs_delayed{0};
-    std::atomic<std::uint64_t> partition_drops{0};
-    std::atomic<std::uint64_t> crashes{0};
-    std::atomic<std::uint64_t> restarts{0};
-  };
-  AtomicStats stats_;
+  FaultStats stats_;
 };
 
 }  // namespace ici::sim

@@ -61,7 +61,7 @@ void Network::deliver(NodeId from, NodeId to, std::size_t wire, const MessagePtr
 }
 
 void Network::schedule_delivery(NodeId from, NodeId to, std::size_t wire, double transfer_us,
-                                MessagePtr msg, Simulator::DeliveryBatch* batch) {
+                                MessagePtr msg) {
   NodeSlot& src = nodes_[from];
   const SimTime start = std::max(sim_.now(), src.uplink_busy_until);
   const SimTime departure = start + static_cast<SimTime>(transfer_us);
@@ -81,15 +81,14 @@ void Network::schedule_delivery(NodeId from, NodeId to, std::size_t wire, double
     if (verdict.drop) return;  // charged to the sender, lost in flight
     arrival += static_cast<SimTime>(verdict.extra_delay_us);
     if (verdict.duplicate_delay_us >= 0.0) {
-      sim_.schedule_for_batched(batch, to,
-                                arrival + static_cast<SimTime>(verdict.duplicate_delay_us),
-                                [this, from, to, wire, msg] { deliver(from, to, wire, msg); });
+      sim_.schedule_for(to, arrival + static_cast<SimTime>(verdict.duplicate_delay_us),
+                        [this, from, to, wire, msg] { deliver(from, to, wire, msg); });
     }
   }
 
-  // Deliveries execute as the receiver (its lane under sharding), so the
-  // receive handler mutates receiver-owned state from exactly one thread.
-  sim_.schedule_for_batched(batch, to, arrival, [this, from, to, wire, msg = std::move(msg)] {
+  // Deliveries execute as the receiver: what its handler schedules draws
+  // the receiver's tie-break keys.
+  sim_.schedule_for(to, arrival, [this, from, to, wire, msg = std::move(msg)] {
     deliver(from, to, wire, msg);
   });
 }
@@ -107,7 +106,7 @@ void Network::send_impl(NodeId from, NodeId to, MessagePtr msg) {
 
   if (from == to) {
     // Loopback: no uplink charge beyond accounting, minimal scheduling
-    // delay. Still routed as a delivery (same lane: sender == receiver).
+    // delay. Still routed as a delivery (sender == receiver).
     sim_.schedule_for(to, sim_.now() + 1,
                       [this, from, to, wire, msg = std::move(msg)] { deliver(from, to, wire, msg); });
     return;
@@ -121,11 +120,6 @@ void Network::multicast(NodeId from, const std::vector<NodeId>& to, const Messag
   bool hoisted = false;
   std::size_t wire = 0;
   double transfer_us = 0.0;
-  // Hoist the per-recipient lane resolution out of the loop: when the whole
-  // fan-out lands on one (cross-)lane — the common case for intra-cluster
-  // multicasts — the batch takes that lane's mailbox lock once at scope
-  // exit instead of once per recipient. Inactive outside parallel windows.
-  Simulator::DeliveryBatch batch(sim_, to, from);
   for (NodeId t : to) {
     if (t == from) continue;
     if (!hoisted) {
@@ -144,7 +138,7 @@ void Network::multicast(NodeId from, const std::vector<NodeId>& to, const Messag
     NodeSlot& src = nodes_[from];
     src.traffic.msgs_sent += 1;
     src.traffic.bytes_sent += wire;
-    schedule_delivery(from, t, wire, transfer_us, MessagePtr(msg), &batch);
+    schedule_delivery(from, t, wire, transfer_us, MessagePtr(msg));
   }
 }
 

@@ -136,21 +136,16 @@ class Network {
   void send_impl(NodeId from, NodeId to, MessagePtr msg);
   /// Computes departure/arrival for one recipient (advancing the sender's
   /// uplink and drawing the sender's jitter stream in call order) and
-  /// schedules the delivery event on the *receiver's* lane. `transfer_us`
-  /// is hoisted by the caller since it only depends on the sender and the
-  /// wire size. `batch` (optional) coalesces same-lane mailbox appends
-  /// during sharded fan-outs.
+  /// schedules the delivery event as the *receiver*. `transfer_us` is
+  /// hoisted by the caller since it only depends on the sender and the wire
+  /// size.
   void schedule_delivery(NodeId from, NodeId to, std::size_t wire, double transfer_us,
-                         MessagePtr msg, Simulator::DeliveryBatch* batch = nullptr);
+                         MessagePtr msg);
   void deliver(NodeId from, NodeId to, std::size_t wire, const MessagePtr& msg);
 
-  /// Per-node slot. Hot fields are touched only from the owning node's
-  /// event lane (uplink_busy_until + jitter_rng by its sends, traffic rx
-  /// by its deliveries), or from sequential contexts (online flips), so
-  /// sharded execution needs no per-slot locking. The jitter stream is
-  /// per-*sender* — splitmix-derived from the network seed and node id —
-  /// so draw order is the sender's send order, invariant under the lane
-  /// count (the old shared stream would interleave nondeterministically).
+  /// Per-node slot. The jitter stream is per-*sender* — splitmix-derived
+  /// from the network seed and node id — so draw order is the sender's send
+  /// order.
   struct NodeSlot {
     INode* endpoint = nullptr;
     Coord coord;

@@ -1,28 +1,13 @@
-// Process-wide default shard (event-lane) count, set once from the shared
-// `--shards` bench flag before any network facade is constructed — the
-// sharded-simulator analogue of ThreadPool::set_global_threads. Facade
-// configs carry their own `shards` field (0 = use this default) so tests
-// and sweeps can pin a specific K per instance.
+// The simulator runs one event lane. perfbench stamps this count into every
+// result (`shards`), and its compare tool refuses host-time comparisons
+// across differing stamps, so the constant stays for that stamp alone.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace ici::sim {
 
-/// Sets the process default lane count (clamped to >= 1).
-void set_default_shards(std::size_t shards);
-
-/// Current process default lane count (>= 1; 1 until set).
-[[nodiscard]] std::size_t default_shards();
-
-/// Contiguous block lane map for strategies without cluster structure
-/// (full replication): node ids [0, n) split into `shards` equal runs.
-[[nodiscard]] inline std::uint32_t contiguous_lane(std::uint32_t node, std::size_t n,
-                                                   std::size_t shards) {
-  if (shards <= 1 || n == 0) return 0;
-  const std::size_t lane = (static_cast<std::size_t>(node) * shards) / n;
-  return static_cast<std::uint32_t>(lane < shards ? lane : shards - 1);
-}
+/// Event lanes the simulator runs: always 1.
+constexpr std::size_t default_shards() { return 1; }
 
 }  // namespace ici::sim

@@ -45,7 +45,7 @@ struct StoreConfig {
 
 /// Per-backend event tallies, summed over a fleet into the `store.*`
 /// metrics. Plain (non-atomic) fields: a backend is only touched from its
-/// owning node's event lane, and the export sums over nodes, so totals are
+/// owning node's events, and the export sums over nodes, so totals are
 /// order-free and deterministic.
 struct StoreCounters {
   std::uint64_t puts = 0;             ///< bodies accepted (first copy)
@@ -94,8 +94,8 @@ struct StoreCounters {
 
 /// How a backend sees simulated time. A facade wires `now` to its simulator
 /// clock and `schedule_at` to sim::Simulator::schedule_for(owner, ...), so
-/// IO-retirement events run on the owning node's event lane (lane-local,
-/// shard-invariant). Both callbacks empty = synchronous mode.
+/// IO-retirement events execute as the owning node. Both callbacks empty =
+/// synchronous mode.
 struct IoEnv {
   std::function<std::uint64_t()> now;
   std::function<void(std::uint64_t at, std::function<void()> fn)> schedule_at;

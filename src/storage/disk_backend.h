@@ -16,7 +16,7 @@
 //
 // Writes go through an async write queue: put() stages the body in memory
 // and schedules a retirement event at `max(now, write_busy) + io_write_us`
-// on the owning node's event lane (IoEnv), so verification never blocks on
+// as the owning node (IoEnv), so verification never blocks on
 // IO and the append order/latency is simulated-time deterministic. Reads of
 // staged bodies are warm (zero delay); reads from a segment are cold —
 // pread + deserialize — and charge a serialized per-node read clock.

@@ -24,11 +24,10 @@
 
 namespace ici {
 
-/// Thread-safe for concurrent event lanes (sim sharding): all accessors
-/// take an internal mutex, and slot storage is deque-backed so references
-/// returned by header()/hash() stay valid while other lanes intern new
-/// slots. Interning is append-only and idempotent by hash, so the table's
-/// content is order-free — identical for any lane interleaving.
+/// Thread-safe: all accessors take an internal mutex, and slot storage is
+/// deque-backed so references returned by header()/hash() stay valid while
+/// other threads intern new slots. Interning is append-only and idempotent
+/// by hash, so the table's content is order-free.
 class HeaderIndex {
  public:
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;

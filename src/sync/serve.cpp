@@ -9,7 +9,6 @@ std::uint64_t ServeThrottle::delay_for(std::uint32_t server, std::uint32_t peer,
   if (rate_bps_ <= 0.0) return 0;
   const double cost_us = static_cast<double>(bytes) / rate_bps_ * 1e6;
   const std::uint64_t key = (std::uint64_t{server} << 32) | peer;
-  const std::lock_guard<std::mutex> lk(mu_);
   std::uint64_t& busy = busy_until_[key];
   const std::uint64_t start = std::max(busy, now);
   busy = start + static_cast<std::uint64_t>(cost_us);

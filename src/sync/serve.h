@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 
 #include "storage/block_store.h"
@@ -23,11 +22,6 @@ namespace ici::sync {
 /// deferred by the remainder. Stateless protocol on top is untouched — a
 /// throttled server sends the same responses, just later — so a throttled
 /// join resumes bit-identical (tests/test_sync.cpp).
-///
-/// Thread-safe: delay_for is called from serving nodes' event handlers,
-/// which may run on concurrent event lanes (docs/THREADING.md). Each
-/// (server, peer) pair is only ever touched from the server's own lane, so
-/// the mutex just guards the map structure.
 class ServeThrottle {
  public:
   explicit ServeThrottle(double rate_bps) : rate_bps_(rate_bps) {}
@@ -44,7 +38,6 @@ class ServeThrottle {
 
  private:
   double rate_bps_;
-  std::mutex mu_;
   // (server << 32 | peer) -> sim time (µs) the pair's uplink is busy until.
   std::unordered_map<std::uint64_t, std::uint64_t> busy_until_;
 };

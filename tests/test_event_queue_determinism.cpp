@@ -3,8 +3,9 @@
 // cases (bucket edges, far-heap spills, window re-anchoring), and a
 // randomized differential test replaying the same million-event schedule
 // through the production EventQueue and the pre-overhaul reference queue
-// (sim/reference_queue.h), asserting identical execution order. The
-// simulator's determinism contract — execution is total-ordered by
+// (sim/reference_queue.h), asserting identical execution order; plus the
+// same differential for the Simulator itself on nested harness cascades.
+// The simulator's determinism contract — execution is total-ordered by
 // (time, schedule-sequence) — is what keeps every BENCH_*.json artifact
 // bit-reproducible, so this suite is the contract's enforcement point.
 #include <gtest/gtest.h>
@@ -152,6 +153,96 @@ TEST(EventQueueDeterminism, DifferentialMillionEventsMatchReferenceHeap) {
   ASSERT_EQ(a.order, b.order) << "execution order diverged from the reference heap";
   EXPECT_GT(fast.stats().far_events, 0u) << "schedule never exercised the far-heap fallback";
   EXPECT_EQ(fast.stats().executed, a.order.size());
+}
+
+// --- Simulator vs oracle: harness cascades --------------------------------
+//
+// Harness-context keys are drawn from one monotonic counter, so the
+// (at, key) order the Simulator executes must equal the reference queue's
+// (at, insertion-seq) order — event by event, for the same randomized
+// cascade with events scheduled from inside events.
+
+class SimCascade {
+ public:
+  SimCascade(Simulator* s, std::uint64_t seed) : sim_(s), rng_(seed) {}
+
+  void spawn(SimTime at, int depth) {
+    const std::uint64_t id = next_id_++;
+    sim_->at(at, [this, id, depth] { execute(id, depth); });
+  }
+
+  void execute(std::uint64_t id, int depth) {
+    order_.push_back(id);
+    if (depth == 0) return;
+    const std::uint64_t kids = rng_.uniform(3);
+    for (std::uint64_t i = 0; i < kids; ++i) {
+      // Mix of strictly-later and same-time children: same-time events must
+      // run in scheduling order (the key counter is the tie-break).
+      spawn(sim_->now() + rng_.uniform(40), depth - 1);
+    }
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& order() const { return order_; }
+
+ private:
+  Simulator* sim_;
+  Rng rng_;
+  std::uint64_t next_id_ = 0;
+  std::vector<std::uint64_t> order_;
+};
+
+class RefCascade {
+ public:
+  explicit RefCascade(std::uint64_t seed) : rng_(seed) {}
+
+  void spawn(SimTime at, int depth) {
+    const std::uint64_t id = next_id_++;
+    q_.schedule_at(at, [this, at, id, depth] { execute(at, id, depth); });
+  }
+
+  void execute(SimTime now, std::uint64_t id, int depth) {
+    order_.push_back(id);
+    if (depth == 0) return;
+    const std::uint64_t kids = rng_.uniform(3);
+    for (std::uint64_t i = 0; i < kids; ++i) spawn(now + rng_.uniform(40), depth - 1);
+  }
+
+  void run() {
+    while (!q_.empty()) q_.run_next();
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& order() const { return order_; }
+
+ private:
+  ReferenceEventQueue q_;
+  Rng rng_;
+  std::uint64_t next_id_ = 0;
+  std::vector<std::uint64_t> order_;
+};
+
+std::vector<std::uint64_t> sim_cascade_order(std::uint64_t seed) {
+  Simulator s;
+  SimCascade cascade(&s, seed);
+  Rng seeds(seed ^ 0xD1CEu);
+  for (int i = 0; i < 200; ++i) cascade.spawn(seeds.uniform(500), /*depth=*/3);
+  s.run();
+  return cascade.order();
+}
+
+std::vector<std::uint64_t> ref_cascade_order(std::uint64_t seed) {
+  RefCascade cascade(seed);
+  Rng seeds(seed ^ 0xD1CEu);
+  for (int i = 0; i < 200; ++i) cascade.spawn(seeds.uniform(500), /*depth=*/3);
+  cascade.run();
+  return cascade.order();
+}
+
+TEST(EventQueueDeterminism, HarnessCascadeMatchesReferenceQueueOracle) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto expected = ref_cascade_order(seed);
+    ASSERT_GT(expected.size(), 200u) << "cascade degenerated at seed " << seed;
+    EXPECT_EQ(sim_cascade_order(seed), expected) << "seed " << seed;
+  }
 }
 
 }  // namespace

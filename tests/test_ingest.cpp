@@ -2,8 +2,8 @@
 // — TrafficGenerator arrivals through TxAcceptor batching/dedup/prescreen
 // into the fee-prioritized mempool and out through block templates — must
 // produce bit-identical ingest.*/mempool.* tallies AND an identical
-// accepted-tx order at any worker-pool width (--threads 1/2/8) and any
-// event-shard count (--shards 1/2/8), for every strategy in the registry,
+// accepted-tx order at any worker-pool width (--threads 1/2/8), for every
+// strategy in the registry,
 // with and without a message-fault plan installed (the test_ingest_faults
 // CTest variant sets ICI_FAULT_PLAN).
 //
@@ -25,7 +25,6 @@
 #include "common/thread_pool.h"
 #include "ingest/driver.h"
 #include "sim/faults.h"
-#include "sim/shard.h"
 #include "strategy/strategy.h"
 
 namespace ici {
@@ -36,10 +35,7 @@ constexpr std::size_t kWidths[] = {1, 2, 8};
 class IngestDeterminism : public ::testing::Test {
  protected:
   void SetUp() override { ThreadPool::set_global_threads(4); }
-  void TearDown() override {
-    ThreadPool::set_global_threads(1);
-    sim::set_default_shards(1);
-  }
+  void TearDown() override { ThreadPool::set_global_threads(1); }
 };
 
 void install_env_fault_plan(const std::function<void(const sim::FaultPlan&)>& start) {
@@ -84,10 +80,8 @@ TrafficConfig pipeline_traffic_config() {
 }
 
 ingest::DriverReport run_pipeline(std::string_view strategy_name, std::size_t threads,
-                                  std::size_t shards,
                                   ingest::DriverConfig dcfg = pipeline_driver_config()) {
   ThreadPool::set_global_threads(threads);
-  sim::set_default_shards(shards);
   core::StrategyConfig scfg;
   scfg.node_count = 16;
   scfg.groups = 2;
@@ -132,10 +126,10 @@ void expect_identical(const ingest::DriverReport& a, const ingest::DriverReport&
 
 TEST_F(IngestDeterminism, PipelineBitIdenticalAcrossThreadCounts) {
   for (const std::string_view name : core::strategy_names()) {
-    const ingest::DriverReport base = run_pipeline(name, kWidths[0], 1);
+    const ingest::DriverReport base = run_pipeline(name, kWidths[0]);
     ASSERT_GT(base.ingest.accepted, 0u) << name;
     for (std::size_t i = 1; i < std::size(kWidths); ++i) {
-      const ingest::DriverReport other = run_pipeline(name, kWidths[i], 1);
+      const ingest::DriverReport other = run_pipeline(name, kWidths[i]);
       expect_identical(base, other,
                        std::string(name) + " at " + std::to_string(kWidths[i]) +
                            " threads");
@@ -143,23 +137,10 @@ TEST_F(IngestDeterminism, PipelineBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(IngestDeterminism, PipelineBitIdenticalAcrossShardCounts) {
-  for (const std::string_view name : core::strategy_names()) {
-    const ingest::DriverReport base = run_pipeline(name, 4, kWidths[0]);
-    ASSERT_GT(base.ingest.accepted, 0u) << name;
-    for (std::size_t i = 1; i < std::size(kWidths); ++i) {
-      const ingest::DriverReport other = run_pipeline(name, 4, kWidths[i]);
-      expect_identical(base, other,
-                       std::string(name) + " at " + std::to_string(kWidths[i]) +
-                           " shards");
-    }
-  }
-}
-
 TEST_F(IngestDeterminism, OverloadExercisesBackpressureAndEviction) {
   // The determinism runs are only meaningful if the interesting counters
   // actually fire under this configuration.
-  const ingest::DriverReport r = run_pipeline("ici", 4, 1);
+  const ingest::DriverReport r = run_pipeline("ici", 4);
   EXPECT_GT(r.ingest.rejected_backpressure, 0u);
   EXPECT_GT(r.mempool.evictions, 0u);
   EXPECT_GT(r.mempool.size_peak, 0u);
@@ -206,7 +187,7 @@ TEST_F(IngestDeterminism, ConfirmedTxidNeverReentersALaterBlock) {
       break;
     }
   };
-  const ingest::DriverReport r = run_pipeline("pruned", 2, 1, dcfg);
+  const ingest::DriverReport r = run_pipeline("pruned", 2, dcfg);
   ASSERT_EQ(injected, 1);
   EXPECT_EQ(r.template_skipped_confirmed, 1u);
 }

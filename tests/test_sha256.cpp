@@ -67,6 +67,15 @@ TEST(Sha256, IncrementalMatchesOneShotAtAllSplitPoints) {
   }
 }
 
+TEST(Sha256, EmptyUpdateAfterPartialBlockMatchesOneShot) {
+  // An empty span (null data()) after a partial block must be a no-op.
+  const std::string msg = "abc";
+  Sha256 h;
+  h.update(as_span(msg));
+  h.update(ByteSpan{});
+  EXPECT_EQ(h.final(), Sha256::hash(as_span(msg)));
+}
+
 TEST(Sha256, DoubleHashDiffersFromSingle) {
   const auto single = Sha256::hash(as_span("abc"));
   const auto twice = Sha256::hash2(as_span("abc"));

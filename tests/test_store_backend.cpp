@@ -3,7 +3,7 @@
 // warm, recovers its index from a torn-tail log, and compacts dead space —
 // and the backend choice never perturbs the deterministic-sim contract:
 // `--store mem` adds zero events (bit-identical to the default), `--store
-// disk` is bit-identical across shard counts and worker-pool sizes.
+// disk` is bit-identical across worker-pool sizes.
 #include "storage/disk_backend.h"
 
 #include <gtest/gtest.h>
@@ -357,14 +357,7 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
-/// Shard instrumentation describes the engine configuration, not the run
-/// (same exclusion set as test_shard_determinism).
-bool excluded_from_identity(std::string_view name) {
-  return name.rfind("sim.shard", 0) == 0 || name == "sim.peak_pending" ||
-         name == "sim.far_events";
-}
-
-RunFingerprint run_ici(const StoreConfig& store, std::size_t shards) {
+RunFingerprint run_ici(const StoreConfig& store) {
   ChainGenConfig ccfg;
   ccfg.txs_per_block = 24;
   ccfg.workload.wallet_count = 16;
@@ -373,7 +366,6 @@ RunFingerprint run_ici(const StoreConfig& store, std::size_t shards) {
   core::IciNetworkConfig ncfg;
   ncfg.node_count = 24;
   ncfg.ici.cluster_count = 3;
-  ncfg.shards = shards;
   ncfg.store = store;
   core::IciNetwork net(ncfg);
 
@@ -391,7 +383,6 @@ RunFingerprint run_ici(const StoreConfig& store, std::size_t shards) {
   fp.traffic_bytes = traffic.bytes_sent;
   fp.traffic_msgs = traffic.msgs_sent;
   for (const auto& [name, counter] : net.metrics().counters()) {
-    if (excluded_from_identity(name)) continue;
     fp.counters[name] = counter.value();
   }
   return fp;
@@ -404,13 +395,13 @@ TEST(StoreDeterminism, MemBackendAddsZeroEvents) {
   mem.backend = "mem";
   mem.io_write_us = 500;
   mem.io_read_us = 700;
-  EXPECT_EQ(run_ici(StoreConfig{}, 1), run_ici(mem, 1));
+  EXPECT_EQ(run_ici(StoreConfig{}), run_ici(mem));
 }
 
-TEST(StoreDeterminism, DiskIdenticalAcrossShardsAndThreads) {
+TEST(StoreDeterminism, DiskIdenticalAcrossThreads) {
   StoreConfig disk;
   disk.backend = "disk";
-  const RunFingerprint base = run_ici(disk, 1);
+  const RunFingerprint base = run_ici(disk);
 
   // The write queue is live (IO events were scheduled and all retired by
   // settle) — yet commit latency matches the mem run exactly: staging
@@ -420,13 +411,13 @@ TEST(StoreDeterminism, DiskIdenticalAcrossShardsAndThreads) {
   ASSERT_TRUE(base.counters.count("store.staged_puts"));
   EXPECT_GT(base.counters.at("store.staged_puts"), 0u);
   EXPECT_EQ(base.counters.at("store.wq_retired"), base.counters.at("store.wq_enqueued"));
-  EXPECT_EQ(base.commit_latency, run_ici(StoreConfig{}, 1).commit_latency);
+  EXPECT_EQ(base.commit_latency, run_ici(StoreConfig{}).commit_latency);
 
-  // And the IO-event schedule never depends on the lane count or pool size.
-  EXPECT_EQ(base, run_ici(disk, 2));
-  ThreadPool::set_global_threads(4);
-  EXPECT_EQ(base, run_ici(disk, 1));
-  EXPECT_EQ(base, run_ici(disk, 2));
+  // And the IO-event schedule never depends on the pool size.
+  for (const std::size_t threads : {2, 4}) {
+    ThreadPool::set_global_threads(threads);
+    EXPECT_EQ(base, run_ici(disk)) << threads << " threads";
+  }
   ThreadPool::set_global_threads(1);
 }
 

@@ -1,7 +1,10 @@
 // The determinism contract (docs/THREADING.md): the worker-pool size changes
 // wall clock only. Every parallel hot path — RS encode/reconstruct, batch
 // Merkle hashing, collaborative slice verification inside a full network
-// run — must produce byte-identical results at 1, 2, and 8 lanes.
+// run — must produce byte-identical results at 1, 2, and 8 lanes. The
+// full-run fingerprints cover ICI and both baselines (full replication and
+// RapidChain), with and without a message-fault plan installed (the
+// test_threads_determinism_faults CTest variant sets ICI_FAULT_PLAN).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -9,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "baseline/fullrep.h"
+#include "baseline/rapidchain.h"
 #include "chain/workload.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -105,27 +110,13 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
-RunFingerprint run_network() {
-  ChainGenConfig ccfg;
-  ccfg.txs_per_block = 24;
-  ccfg.workload.wallet_count = 16;
-  ChainGenerator gen(ccfg);
-
-  core::IciNetworkConfig ncfg;
-  ncfg.node_count = 24;
-  ncfg.ici.cluster_count = 3;
-  core::IciNetwork net(ncfg);
-
-  Block genesis = gen.workload().make_genesis();
-  gen.workload().confirm(genesis);
-  Chain chain(genesis);
-  net.init_with_genesis(genesis);
-
-  // The contract must also hold under fault injection: the
-  // test_threads_determinism_faults CTest variant sets ICI_FAULT_PLAN to a
-  // message-fault plan (drop/dup/delay only — random crash schedules never
-  // quiesce, so a settle-based run cannot carry them). Unset leaves the
-  // legacy path with zero extra RNG draws.
+/// The contract must also hold under fault injection: the
+/// test_threads_determinism_faults CTest variant sets ICI_FAULT_PLAN to a
+/// message-fault plan (drop/dup/delay only — random crash schedules never
+/// quiesce, so a settle-based run cannot carry them). Unset leaves the
+/// legacy path with zero extra RNG draws.
+template <typename Net>
+void install_env_fault_plan(Net& net) {
   if (const char* spec = std::getenv("ICI_FAULT_PLAN");
       spec != nullptr && *spec != '\0') {
     sim::FaultPlan plan;
@@ -136,15 +127,28 @@ RunFingerprint run_network() {
       net.start_faults(plan);
     }
   }
+}
+
+/// Disseminates `blocks` generated blocks through `net` and fingerprints
+/// the run (storage is filled in by the caller where the facade has it).
+template <typename Net>
+RunFingerprint disseminate(Net& net, std::size_t txs_per_block, int blocks) {
+  ChainGenConfig ccfg;
+  ccfg.txs_per_block = txs_per_block;
+  ccfg.workload.wallet_count = 16;
+  ChainGenerator gen(ccfg);
+
+  Block genesis = gen.workload().make_genesis();
+  gen.workload().confirm(genesis);
+  Chain chain(genesis);
+  net.init_with_genesis(genesis);
+  install_env_fault_plan(net);
 
   RunFingerprint fp;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < blocks; ++i) {
     chain.append(gen.next_block(chain));
     fp.commit_latency.push_back(net.disseminate_and_settle(chain.tip()));
   }
-  const auto snap = net.storage_snapshot();
-  fp.storage_mean = snap.mean_bytes;
-  fp.storage_max = snap.max_bytes;
   const auto traffic = net.network().total_traffic();
   fp.traffic_bytes = traffic.bytes_sent;
   fp.traffic_msgs = traffic.msgs_sent;
@@ -154,27 +158,69 @@ RunFingerprint run_network() {
   return fp;
 }
 
-TEST_F(ThreadsDeterminism, FullNetworkRunIsBitIdentical) {
+RunFingerprint run_network() {
+  core::IciNetworkConfig ncfg;
+  ncfg.node_count = 24;
+  ncfg.ici.cluster_count = 3;
+  core::IciNetwork net(ncfg);
+  RunFingerprint fp = disseminate(net, 24, 5);
+  const auto snap = net.storage_snapshot();
+  fp.storage_mean = snap.mean_bytes;
+  fp.storage_max = snap.max_bytes;
+  return fp;
+}
+
+RunFingerprint run_fullrep() {
+  baseline::FullRepConfig ncfg;
+  ncfg.node_count = 16;
+  baseline::FullRepNetwork net(ncfg);
+  return disseminate(net, 16, 3);
+}
+
+RunFingerprint run_rapidchain() {
+  baseline::RapidChainConfig ncfg;
+  ncfg.node_count = 24;
+  ncfg.committee_count = 4;
+  baseline::RapidChainNetwork net(ncfg);
+  return disseminate(net, 16, 3);
+}
+
+/// Runs `run` at every pool width and expects one fingerprint.
+std::vector<RunFingerprint> expect_identical_across_threads(RunFingerprint (*run)()) {
   std::vector<RunFingerprint> runs;
   for (const std::size_t lanes : kLaneCounts) {
     ThreadPool::set_global_threads(lanes);
-    runs.push_back(run_network());
+    runs.push_back(run());
   }
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].commit_latency, runs[0].commit_latency);
+    EXPECT_EQ(runs[i].commit_latency, runs[0].commit_latency) << kLaneCounts[i] << " threads";
     EXPECT_EQ(runs[i].storage_mean, runs[0].storage_mean);
     EXPECT_EQ(runs[i].storage_max, runs[0].storage_max);
     EXPECT_EQ(runs[i].traffic_bytes, runs[0].traffic_bytes);
     EXPECT_EQ(runs[i].traffic_msgs, runs[0].traffic_msgs);
-    EXPECT_EQ(runs[i].counters, runs[0].counters);
+    EXPECT_EQ(runs[i].counters, runs[0].counters) << kLaneCounts[i] << " threads";
   }
-  // Event-core hygiene on a full deterministic run: nothing schedules into
-  // the past (the Simulator::at clamp never fires) and no closure outgrew
-  // the inline event buffer.
-  ASSERT_TRUE(runs[0].counters.count("sim.late_events"));
-  EXPECT_EQ(runs[0].counters.at("sim.late_events"), 0u);
+  // Nothing ever scheduled into the past (the Simulator::at clamp never
+  // fires).
+  EXPECT_TRUE(runs[0].counters.count("sim.late_events"));
+  EXPECT_EQ(runs[0].counters["sim.late_events"], 0u);
+  EXPECT_GT(runs[0].counters["sim.events_executed"], 0u);
+  return runs;
+}
+
+TEST_F(ThreadsDeterminism, FullNetworkRunIsBitIdentical) {
+  const std::vector<RunFingerprint> runs = expect_identical_across_threads(run_network);
+  // No closure on a full ICI run outgrew the inline event buffer.
   ASSERT_TRUE(runs[0].counters.count("sim.event_heap_fallbacks"));
   EXPECT_EQ(runs[0].counters.at("sim.event_heap_fallbacks"), 0u);
+}
+
+TEST_F(ThreadsDeterminism, FullRepRunIsBitIdentical) {
+  expect_identical_across_threads(run_fullrep);
+}
+
+TEST_F(ThreadsDeterminism, RapidChainRunIsBitIdentical) {
+  expect_identical_across_threads(run_rapidchain);
 }
 
 }  // namespace

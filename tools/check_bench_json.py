@@ -89,12 +89,6 @@ def check_file(path):
     if cpu_backend not in ("scalar", "native"):
         fail(path, "config.cpu_backend: expected 'scalar' or 'native' "
                    f"(got {cpu_backend!r})")
-    # ... and the event-shard count (PR 8): sim metrics are bit-identical
-    # for any value, but wall-clock comparisons need to know how many lanes
-    # the engine ran.
-    shards = doc["config"].get("shards")
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        fail(path, f"config.shards: expected integer >= 1 (got {shards!r})")
     # ... and the storage backend (PR 10): mem and disk runs are
     # metric-identical by design, so the artifact has to say which one
     # produced it.
@@ -371,61 +365,6 @@ def check_file(path):
     for name, value in doc["counters"].items():
         if not isinstance(value, int) or isinstance(value, bool):
             fail(path, f"counters['{name}']: expected integer")
-
-    # Any artifact that ran the event engine sharded (config.shards > 1 and
-    # the sim counter block captured) must carry the sharded-engine
-    # instrumentation, or there is no evidence the lanes actually ran.
-    SHARD_COUNTERS = ("sim.shards", "sim.shard_rounds", "sim.shard_barriers",
-                      "sim.shard_lookahead_us", "sim.shard_local_msgs",
-                      "sim.shard_xshard_msgs")
-    if shards > 1 and "sim.events_executed" in doc["counters"]:
-        for name in SHARD_COUNTERS:
-            if name not in doc["counters"]:
-                fail(path, f"counters: sharded run (config.shards={shards}) "
-                           f"missing '{name}'")
-        if doc["counters"]["sim.shards"] < 2:
-            fail(path, f"counters['sim.shards']: expected >= 2 for a sharded "
-                       f"run (got {doc['counters']['sim.shards']!r})")
-        if doc["counters"]["sim.shard_rounds"] < 1:
-            fail(path, "counters['sim.shard_rounds']: expected >= 1 "
-                       f"(got {doc['counters']['sim.shard_rounds']!r})")
-        if doc["counters"]["sim.shard_lookahead_us"] < 1:
-            fail(path, "counters['sim.shard_lookahead_us']: expected >= 1 "
-                       f"(got {doc['counters']['sim.shard_lookahead_us']!r})")
-
-    # exp19 additionally runs the Part-3 shard sweep unconditionally and
-    # mirrors one sharded cell's counters into the artifact, so for it the
-    # full sim.shard_* set is required regardless of config.shards — plus at
-    # least one sweep row per strategy with an in-range cross-shard fraction.
-    if doc["name"] == "exp19_simcore":
-        for name in SHARD_COUNTERS:
-            if name not in doc["counters"]:
-                fail(path, f"counters: exp19 shard sweep missing '{name}'")
-        if doc["counters"]["sim.shards"] < 2:
-            fail(path, "counters['sim.shards']: exp19 mirrors a K >= 2 sweep "
-                       f"cell (got {doc['counters']['sim.shards']!r})")
-        if (doc["counters"]["sim.shard_local_msgs"]
-                + doc["counters"]["sim.shard_xshard_msgs"]) < 1:
-            fail(path, "counters: exp19 sharded cell routed no messages")
-        sweep_strategies = set()
-        for i, row in enumerate(doc["rows"]):
-            if not row["label"].startswith("shards:"):
-                continue
-            values = row["values"]
-            sweep_strategies.add(values.get("strategy"))
-            frac = values.get("xshard_fraction")
-            if (not isinstance(frac, (int, float)) or isinstance(frac, bool)
-                    or not 0.0 <= frac <= 1.0):
-                fail(path, f"rows[{i}].values['xshard_fraction']: expected "
-                           f"number in [0, 1] (got {frac!r})")
-            k = values.get("shards")
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                fail(path, f"rows[{i}].values['shards']: expected integer "
-                           f">= 1 (got {k!r})")
-        for strategy in ("ici", "fullrep"):
-            if strategy not in sweep_strategies:
-                fail(path, f"rows: exp19 shard sweep missing strategy "
-                           f"'{strategy}'")
 
     # Sim-driven artifacts carry the run's memory footprint (PR 6). The
     # counters are environment measurements, so only their presence and

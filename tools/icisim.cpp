@@ -26,7 +26,6 @@
 #include "metrics/memstats.h"
 #include "obs/bench_report.h"
 #include "sim/faults.h"
-#include "sim/shard.h"
 
 int main(int argc, char** argv) {
   using namespace ici;
@@ -68,7 +67,7 @@ int main(int argc, char** argv) {
   flags.add_uint("sync-peers", &sync_peers, "bulk-sync parallel pull peers");
   flags.add_double("sync-serve-rate", &sync_serve_rate,
                    "serve-side bulk-sync rate limit in bytes/s of sim time (0 = off)");
-  add_bench_flags(flags, &opts);  // --smoke/--threads/--cpu/--seed/--fault-plan/--shards
+  add_bench_flags(flags, &opts);  // --smoke/--threads/--cpu/--seed/--fault-plan
 
   std::string error;
   if (!flags.parse(argc, argv, &error)) {
@@ -77,7 +76,6 @@ int main(int argc, char** argv) {
     return error.empty() ? 0 : 2;
   }
   apply_bench_options(opts, "icisim");
-  sim::set_default_shards(std::max<std::uint64_t>(1, opts.shards));
 
   sim::FaultPlan fault_plan;
   if (!sim::FaultPlan::parse(opts.fault_plan, &fault_plan, &error)) {
@@ -134,7 +132,6 @@ int main(int argc, char** argv) {
   report.set_config("clustering", clustering);
   report.set_config("threads", ThreadPool::global().thread_count());
   report.set_config("cpu_backend", std::string(cpu::backend_name()));
-  report.set_config("shards", sim::default_shards());
   report.set_config("store_backend", opts.store);
   if (sync_serve_rate > 0.0) report.set_config("sync_serve_rate_bps", sync_serve_rate);
   report.set_config("churn", churn);
