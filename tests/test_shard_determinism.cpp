@@ -1,151 +1,67 @@
-// The sharding contract (docs/SIMULATOR.md): the event-shard count changes
-// wall clock only. A full network run — dissemination, verification,
-// storage bookkeeping, traffic accounting — must produce bit-identical sim
-// metrics at 1, 2, and 8 lanes, for every strategy, with and without a
+// The committee-shard contract of the RapidChain baseline
+// (baseline/rapidchain.h): which committee a node joins, which committee a
+// block is routed to, and which blocks each node ends up storing are a pure
+// function of the configuration. Separate runs at 1, 2 and 8 worker-pool
+// threads must produce the same shard layout, with and without a
 // message-fault plan installed (the test_shard_determinism_faults CTest
-// variant sets ICI_FAULT_PLAN). The cross-K identity deliberately excludes
-// sim.shard_* (they describe the engine configuration itself) and
-// sim.peak_pending / sim.far_events (per-queue calendar geometry).
-//
-// A differential suite also pins the engine to the pre-overhaul
-// ReferenceEventQueue oracle on harness-driven cascades: same schedule,
-// same execution order, sharded or not.
+// variant sets ICI_FAULT_PLAN). No node ever stores a block of another
+// committee; without faults every node holds its committee's whole shard,
+// genesis included. IDA gossip has no retransmission, so dropped chunks may
+// leave gaps under a fault plan.
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <algorithm>
 #include <cstdlib>
-#include <functional>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "baseline/fullrep.h"
 #include "baseline/rapidchain.h"
 #include "chain/workload.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
-#include "ici/network.h"
 #include "sim/faults.h"
-#include "sim/reference_queue.h"
-#include "sim/simulator.h"
-#include "storage/storage_meter.h"
 
 namespace ici {
 namespace {
 
-constexpr std::size_t kShardCounts[] = {1, 2, 8};
+constexpr std::size_t kPoolWidths[] = {1, 2, 8};
 
 class ShardDeterminism : public ::testing::Test {
  protected:
-  // The sharded engine drains windows on the global pool; give it real
-  // concurrency, and hand the serial default back to later suites.
-  void SetUp() override { ThreadPool::set_global_threads(4); }
+  // Tests mutate the process-wide pool; always hand back a 1-lane pool so
+  // suites that run after this one see the serial default.
   void TearDown() override { ThreadPool::set_global_threads(1); }
 };
 
-/// Counters outside the cross-K bit-identity contract: the shard
-/// instrumentation describes the lane configuration itself, and the two
-/// structural gauges depend on per-lane calendar geometry.
-bool excluded_from_identity(std::string_view name) {
-  return name.rfind("sim.shard", 0) == 0 || name == "sim.peak_pending" ||
-         name == "sim.far_events";
-}
+/// Where every node and block landed, and what each node stores.
+struct ShardLayout {
+  std::vector<std::size_t> node_committee;
+  std::vector<std::size_t> block_committee;  // genesis first
+  std::vector<std::vector<Hash256>> stored;  // per node, sorted
 
-struct RunFingerprint {
-  std::vector<sim::SimTime> commit_latency;
-  double storage_mean = 0;
-  double storage_max = 0;
-  std::uint64_t traffic_bytes = 0;
-  std::uint64_t traffic_msgs = 0;
-  std::map<std::string, std::uint64_t> counters;
-
-  bool operator==(const RunFingerprint&) const = default;
+  bool operator==(const ShardLayout&) const = default;
 };
 
-void install_env_fault_plan(const std::function<void(const sim::FaultPlan&)>& start) {
-  // Message-fault plans only (drop/dup/delay): random crash schedules never
-  // quiesce, so a settle-based run cannot carry them through the env.
-  if (const char* spec = std::getenv("ICI_FAULT_PLAN");
-      spec != nullptr && *spec != '\0') {
+/// The ICI_FAULT_PLAN spec, or null when none is set.
+const char* env_fault_plan() {
+  const char* spec = std::getenv("ICI_FAULT_PLAN");
+  return spec != nullptr && *spec != '\0' ? spec : nullptr;
+}
+
+/// Installs the ICI_FAULT_PLAN message-fault plan, if one is set
+/// (drop/dup/delay only — random crash schedules never quiesce).
+void install_env_fault_plan(baseline::RapidChainNetwork& net) {
+  if (const char* spec = env_fault_plan()) {
     sim::FaultPlan plan;
     std::string error;
     if (!sim::FaultPlan::parse(spec, &plan, &error)) {
       ADD_FAILURE() << "bad ICI_FAULT_PLAN: " << error;
     } else if (plan.enabled()) {
-      start(plan);
+      net.start_faults(plan);
     }
   }
 }
 
-template <typename Net>
-void capture_counters(Net& net, RunFingerprint* fp) {
-  const auto traffic = net.network().total_traffic();
-  fp->traffic_bytes = traffic.bytes_sent;
-  fp->traffic_msgs = traffic.msgs_sent;
-  for (const auto& [name, counter] : net.metrics().counters()) {
-    if (excluded_from_identity(name)) continue;
-    fp->counters[name] = counter.value();
-  }
-}
-
-RunFingerprint run_ici(std::size_t shards) {
-  ChainGenConfig ccfg;
-  ccfg.txs_per_block = 24;
-  ccfg.workload.wallet_count = 16;
-  ChainGenerator gen(ccfg);
-
-  core::IciNetworkConfig ncfg;
-  ncfg.node_count = 24;
-  ncfg.ici.cluster_count = 3;
-  ncfg.shards = shards;
-  core::IciNetwork net(ncfg);
-
-  Block genesis = gen.workload().make_genesis();
-  gen.workload().confirm(genesis);
-  Chain chain(genesis);
-  net.init_with_genesis(genesis);
-  install_env_fault_plan([&net](const sim::FaultPlan& plan) { net.start_faults(plan); });
-
-  RunFingerprint fp;
-  for (int i = 0; i < 5; ++i) {
-    chain.append(gen.next_block(chain));
-    fp.commit_latency.push_back(net.disseminate_and_settle(chain.tip()));
-  }
-  const auto snap = net.storage_snapshot();
-  fp.storage_mean = snap.mean_bytes;
-  fp.storage_max = snap.max_bytes;
-  capture_counters(net, &fp);
-  return fp;
-}
-
-RunFingerprint run_fullrep(std::size_t shards) {
-  ChainGenConfig ccfg;
-  ccfg.txs_per_block = 16;
-  ccfg.workload.wallet_count = 16;
-  ChainGenerator gen(ccfg);
-
-  baseline::FullRepConfig ncfg;
-  ncfg.node_count = 16;
-  ncfg.shards = shards;
-  baseline::FullRepNetwork net(ncfg);
-
-  Block genesis = gen.workload().make_genesis();
-  gen.workload().confirm(genesis);
-  Chain chain(genesis);
-  net.init_with_genesis(genesis);
-  install_env_fault_plan([&net](const sim::FaultPlan& plan) { net.start_faults(plan); });
-
-  RunFingerprint fp;
-  for (int i = 0; i < 3; ++i) {
-    chain.append(gen.next_block(chain));
-    fp.commit_latency.push_back(net.disseminate_and_settle(chain.tip()));
-  }
-  capture_counters(net, &fp);
-  return fp;
-}
-
-RunFingerprint run_rapidchain(std::size_t shards) {
+ShardLayout run_rapidchain(std::vector<Hash256>* block_hashes) {
   ChainGenConfig ccfg;
   ccfg.txs_per_block = 16;
   ccfg.workload.wallet_count = 16;
@@ -154,153 +70,74 @@ RunFingerprint run_rapidchain(std::size_t shards) {
   baseline::RapidChainConfig ncfg;
   ncfg.node_count = 24;
   ncfg.committee_count = 4;
-  ncfg.shards = shards;
   baseline::RapidChainNetwork net(ncfg);
 
   Block genesis = gen.workload().make_genesis();
   gen.workload().confirm(genesis);
   Chain chain(genesis);
   net.init_with_genesis(genesis);
-  install_env_fault_plan([&net](const sim::FaultPlan& plan) { net.start_faults(plan); });
+  install_env_fault_plan(net);
 
-  RunFingerprint fp;
-  for (int i = 0; i < 3; ++i) {
+  ShardLayout layout;
+  block_hashes->assign({genesis.hash()});
+  layout.block_committee.push_back(net.committee_of_block(genesis.hash()));
+  for (int i = 0; i < 8; ++i) {
     chain.append(gen.next_block(chain));
-    fp.commit_latency.push_back(net.disseminate_and_settle(chain.tip()));
+    const Hash256 hash = chain.tip().hash();
+    block_hashes->push_back(hash);
+    layout.block_committee.push_back(net.committee_of_block(hash));
+    net.disseminate_and_settle(chain.tip());
   }
-  capture_counters(net, &fp);
-  return fp;
+  for (sim::NodeId id = 0; id < net.node_count(); ++id) {
+    layout.node_committee.push_back(net.node(id).committee());
+    std::vector<Hash256> hashes = net.node(id).store().stored_hashes();
+    std::sort(hashes.begin(), hashes.end());
+    layout.stored.push_back(std::move(hashes));
+  }
+  return layout;
 }
 
-void expect_identical(const std::vector<RunFingerprint>& runs) {
+TEST_F(ShardDeterminism, LayoutIsIdenticalAcrossPoolWidths) {
+  std::vector<ShardLayout> runs;
+  std::vector<Hash256> hashes;
+  for (const std::size_t width : kPoolWidths) {
+    ThreadPool::set_global_threads(width);
+    runs.push_back(run_rapidchain(&hashes));
+  }
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].commit_latency, runs[0].commit_latency)
-        << "at " << kShardCounts[i] << " shards";
-    EXPECT_EQ(runs[i].storage_mean, runs[0].storage_mean);
-    EXPECT_EQ(runs[i].storage_max, runs[0].storage_max);
-    EXPECT_EQ(runs[i].traffic_bytes, runs[0].traffic_bytes);
-    EXPECT_EQ(runs[i].traffic_msgs, runs[0].traffic_msgs);
-    EXPECT_EQ(runs[i].counters, runs[0].counters) << "at " << kShardCounts[i] << " shards";
+    EXPECT_EQ(runs[i].node_committee, runs[0].node_committee) << kPoolWidths[i] << " threads";
+    EXPECT_EQ(runs[i].block_committee, runs[0].block_committee) << kPoolWidths[i] << " threads";
+    EXPECT_TRUE(runs[i].stored == runs[0].stored) << kPoolWidths[i] << " threads";
   }
-  // Conservative-sync hygiene: nothing ever scheduled into the past (a
-  // lookahead violation would clamp and count here).
-  ASSERT_TRUE(runs[0].counters.count("sim.late_events"));
-  EXPECT_EQ(runs[0].counters.at("sim.late_events"), 0u);
 }
 
-TEST_F(ShardDeterminism, IciRunIsBitIdenticalAcrossShardCounts) {
-  std::vector<RunFingerprint> runs;
-  for (const std::size_t shards : kShardCounts) runs.push_back(run_ici(shards));
-  expect_identical(runs);
-  EXPECT_GT(runs[0].counters.at("sim.events_executed"), 0u);
-}
-
-TEST_F(ShardDeterminism, FullRepRunIsBitIdenticalAcrossShardCounts) {
-  std::vector<RunFingerprint> runs;
-  for (const std::size_t shards : kShardCounts) runs.push_back(run_fullrep(shards));
-  expect_identical(runs);
-}
-
-TEST_F(ShardDeterminism, RapidChainRunIsBitIdenticalAcrossShardCounts) {
-  std::vector<RunFingerprint> runs;
-  for (const std::size_t shards : kShardCounts) runs.push_back(run_rapidchain(shards));
-  expect_identical(runs);
-}
-
-// --- differential oracle: harness cascades vs ReferenceEventQueue ----------
-//
-// Harness-context keys are drawn from one monotonic counter, so the
-// (at, key) order the engine executes must equal the reference queue's
-// (at, insertion-seq) order — event by event, for the same randomized
-// cascade, whether the Simulator is sharded or not (harness events always
-// live on the sequential global queue).
-
-class SimCascade {
- public:
-  SimCascade(sim::Simulator* s, std::uint64_t seed) : sim_(s), rng_(seed) {}
-
-  void spawn(sim::SimTime at, int depth) {
-    const std::uint64_t id = next_id_++;
-    sim_->at(at, [this, id, depth] { execute(id, depth); });
+TEST_F(ShardDeterminism, EveryNodeHoldsOnlyItsCommitteeShard) {
+  std::vector<Hash256> hashes;
+  const ShardLayout layout = run_rapidchain(&hashes);
+  std::size_t routed_committees = 0;
+  for (std::size_t c = 0; c < 4; ++c) {
+    routed_committees += std::count(layout.block_committee.begin(),
+                                    layout.block_committee.end(), c) > 0;
   }
+  EXPECT_GE(routed_committees, 2u) << "every block went to one committee";
 
-  void execute(std::uint64_t id, int depth) {
-    order_.push_back(id);
-    if (depth == 0) return;
-    const std::uint64_t kids = rng_.uniform(3);
-    for (std::uint64_t i = 0; i < kids; ++i) {
-      // Mix of strictly-later and same-time children: same-time events must
-      // run in scheduling order (the key counter is the tie-break).
-      spawn(sim_->now() + rng_.uniform(40), depth - 1);
+  for (std::size_t id = 0; id < layout.stored.size(); ++id) {
+    std::vector<Hash256> expected;
+    for (std::size_t b = 0; b < layout.block_committee.size(); ++b) {
+      if (layout.block_committee[b] == layout.node_committee[id]) {
+        expected.push_back(hashes[b]);
+      }
     }
-  }
-
-  [[nodiscard]] const std::vector<std::uint64_t>& order() const { return order_; }
-
- private:
-  sim::Simulator* sim_;
-  Rng rng_;
-  std::uint64_t next_id_ = 0;
-  std::vector<std::uint64_t> order_;
-};
-
-class RefCascade {
- public:
-  explicit RefCascade(std::uint64_t seed) : rng_(seed) {}
-
-  void spawn(sim::SimTime at, int depth) {
-    const std::uint64_t id = next_id_++;
-    q_.schedule_at(at, [this, at, id, depth] { execute(at, id, depth); });
-  }
-
-  void execute(sim::SimTime now, std::uint64_t id, int depth) {
-    order_.push_back(id);
-    if (depth == 0) return;
-    const std::uint64_t kids = rng_.uniform(3);
-    for (std::uint64_t i = 0; i < kids; ++i) spawn(now + rng_.uniform(40), depth - 1);
-  }
-
-  void run() {
-    while (!q_.empty()) q_.run_next();
-  }
-
-  [[nodiscard]] const std::vector<std::uint64_t>& order() const { return order_; }
-
- private:
-  sim::ReferenceEventQueue q_;
-  Rng rng_;
-  std::uint64_t next_id_ = 0;
-  std::vector<std::uint64_t> order_;
-};
-
-std::vector<std::uint64_t> sim_cascade_order(std::uint64_t seed, std::size_t shards) {
-  sim::Simulator s;
-  if (shards > 1) s.configure_shards(shards, /*lookahead=*/1000);
-  SimCascade cascade(&s, seed);
-  Rng seeds(seed ^ 0xD1CEu);
-  for (int i = 0; i < 200; ++i) {
-    cascade.spawn(seeds.uniform(500), /*depth=*/3);
-  }
-  s.run();
-  return cascade.order();
-}
-
-std::vector<std::uint64_t> ref_cascade_order(std::uint64_t seed) {
-  RefCascade cascade(seed);
-  Rng seeds(seed ^ 0xD1CEu);
-  for (int i = 0; i < 200; ++i) {
-    cascade.spawn(seeds.uniform(500), /*depth=*/3);
-  }
-  cascade.run();
-  return cascade.order();
-}
-
-TEST_F(ShardDeterminism, HarnessCascadeMatchesReferenceQueueOracle) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto expected = ref_cascade_order(seed);
-    ASSERT_GT(expected.size(), 200u) << "cascade degenerated at seed " << seed;
-    EXPECT_EQ(sim_cascade_order(seed, 1), expected) << "unsharded, seed " << seed;
-    EXPECT_EQ(sim_cascade_order(seed, 2), expected) << "2 shards, seed " << seed;
+    std::sort(expected.begin(), expected.end());
+    const auto& stored = layout.stored[id];
+    EXPECT_TRUE(std::includes(expected.begin(), expected.end(), stored.begin(), stored.end()))
+        << "node " << id << " stores a block outside committee "
+        << layout.node_committee[id] << "'s shard";
+    if (env_fault_plan() == nullptr) {
+      EXPECT_TRUE(stored == expected)
+          << "node " << id << " committee " << layout.node_committee[id] << " stores "
+          << stored.size() << " blocks, shard has " << expected.size();
+    }
   }
 }
 
