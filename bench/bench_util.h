@@ -31,7 +31,7 @@ inline void print_experiment_header(const std::string& id, const std::string& ti
 
 /// The shared command-line contract now lives in common/flags.h
 /// (ici::BenchOptions / add_bench_flags): every experiment binary and
-/// tools/icisim register --smoke/--threads/--cpu/--seed/--fault-plan from
+/// tools/icisim register --smoke/--threads/--seed/--fault-plan from
 /// one place, so a new shared flag registers once.
 using ici::BenchOptions;
 

@@ -41,12 +41,12 @@ int main(int argc, char** argv) {
     LiveIciRig rig(kNodes, kClusters, kTxs, r, kSeed);
     for (int i = 0; i < kBlocks; ++i) rig.step();
 
-    sim::ChurnConfig churn;
-    churn.churn_fraction = 0.3;
+    sim::FaultPlan churn;
+    churn.crash_fraction = 0.3;
     churn.mean_uptime_us = 600'000'000;   // 10 min
     churn.mean_downtime_us = 120'000'000; // 2 min
     churn.seed = 7 + r;
-    rig.net->start_churn(churn);
+    rig.net->start_faults(churn);
 
     // Sample availability every simulated minute.
     RunningStat availability;

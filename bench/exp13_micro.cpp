@@ -151,7 +151,7 @@ BENCHMARK(BM_RendezvousAssignment)->Arg(16)->Arg(64)->Arg(256);
 
 // GF(256) row kernels in isolation — the byte loops every RS encode and
 // reconstruct spends its time in. These are what the SSSE3/AVX2 dispatch
-// accelerates (docs/CPU_BACKENDS.md); comparing --cpu scalar vs native here
+// accelerates (docs/CPU_BACKENDS.md); comparing ICI_CPU=scalar vs native here
 // gives the kernel speedup without RS framing overhead in the way.
 void BM_GfMulAddRow(benchmark::State& state) {
   Rng rng(5);
@@ -294,22 +294,15 @@ int main(int argc, char** argv) {
       threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg.rfind("--threads=", 0) == 0) {
       threads = std::strtoull(std::string(arg.substr(10)).c_str(), nullptr, 10);
-    } else if ((arg == "--cpu" && i + 1 < argc) || arg.rfind("--cpu=", 0) == 0) {
-      const std::string_view value = arg == "--cpu" ? std::string_view(argv[++i]) : arg.substr(6);
-      if (!ici::cpu::set_backend_name(value)) {
-        std::cerr << "exp13_micro: invalid --cpu value '" << value
-                  << "' (expected scalar|native)\n";
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "exp13_micro: substrate micro-benchmarks (google-benchmark)\n\n"
                    "  --smoke      run each benchmark briefly (--benchmark_min_time=0.01)\n"
                    "  --threads N  worker-pool lanes for the parallel hot paths\n"
                    "               (default: hardware concurrency; --smoke pins 2)\n"
-                   "  --cpu MODE   SIMD dispatch tier: scalar | native (default native;\n"
-                   "               also settable via ICI_CPU — see docs/CPU_BACKENDS.md)\n"
                    "  --help       this message\n\n"
                    "Any --benchmark_* flag is forwarded to google-benchmark.\n"
+                   "ICI_CPU=scalar|native picks the SIMD dispatch tier (default\n"
+                   "native; see docs/CPU_BACKENDS.md).\n"
                    "Writes BENCH_exp13_micro.json to the working directory\n"
                    "(or $ICI_BENCH_DIR if set).\n";
       return 0;

@@ -47,12 +47,12 @@ ModeResult run_mode(const ModeConfig& mc, std::size_t replication, std::size_t d
     net.disseminate_and_settle(chain.tip());
   }
 
-  sim::ChurnConfig churn;
-  churn.churn_fraction = 0.3;
+  sim::FaultPlan churn;
+  churn.crash_fraction = 0.3;
   churn.mean_uptime_us = 600'000'000;
   churn.mean_downtime_us = 120'000'000;
   churn.seed = 11;
-  net.start_churn(churn);
+  net.start_faults(churn);
 
   RunningStat availability;
   for (int minute = 0; minute < mc.minutes; ++minute) {

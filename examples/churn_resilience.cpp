@@ -45,11 +45,12 @@ int main(int argc, char** argv) {
             << format_double(network.availability(), 4) << "\n\n";
 
   // 30% of nodes churn: ~8 min sessions, ~90 s downtime.
-  sim::ChurnConfig churn;
-  churn.churn_fraction = 0.3;
+  sim::FaultPlan churn;
+  churn.crash_fraction = 0.3;
   churn.mean_uptime_us = 480'000'000;
   churn.mean_downtime_us = 90'000'000;
-  network.start_churn(churn);
+  churn.seed = 99;
+  network.start_faults(churn);
 
   std::cout << "minute  availability  offline  repairs  unavailable-events\n";
   RunningStat availability;

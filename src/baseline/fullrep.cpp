@@ -108,7 +108,7 @@ FullRepNetwork::FullRepNetwork(FullRepConfig cfg) : Host(cfg), cfg_(cfg) {
   if (cfg_.node_count < 2) throw std::invalid_argument("FullRepNetwork: need >= 2 nodes");
 
   const auto infos =
-      cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed, 100.0, false);
+      cluster::generate_topology(cfg_.node_count, host::kTopologyRegions, cfg_.seed);
   reserve_nodes(infos.size());
   for (const auto& info : infos) {
     FullRepNode& node = nodes_.emplace_back(*this, info.id);
@@ -116,7 +116,7 @@ FullRepNetwork::FullRepNetwork(FullRepConfig cfg) : Host(cfg), cfg_(cfg) {
   }
 
   // Random connected-ish peer graph: a ring (guarantees connectivity) plus
-  // random extra edges up to peer_degree.
+  // random extra edges up to kPeerDegree.
   Rng rng(cfg_.seed ^ 0xfeedULL);
   peers_.assign(nodes_.size(), {});
   auto link = [&](sim::NodeId a, sim::NodeId b) {
@@ -129,7 +129,7 @@ FullRepNetwork::FullRepNetwork(FullRepConfig cfg) : Host(cfg), cfg_(cfg) {
   const auto n = static_cast<sim::NodeId>(nodes_.size());
   for (sim::NodeId i = 0; i < n; ++i) link(i, (i + 1) % n);
   for (sim::NodeId i = 0; i < n; ++i) {
-    while (peers_[i].size() < cfg_.peer_degree) {
+    while (peers_[i].size() < kPeerDegree) {
       link(i, static_cast<sim::NodeId>(rng.index(nodes_.size())));
     }
   }
@@ -187,9 +187,9 @@ sim::NodeId FullRepNetwork::add_sync_joiner(sim::Coord coord) {
   for (sim::NodeId i = 0; i < id; ++i) existing[i] = i;
   add_node(node, node.store(), coord);
 
-  // Link the joiner to its peer_degree nearest nodes — the pull peers of the
+  // Link the joiner to its kPeerDegree nearest nodes — the pull peers of the
   // multi-peer bulk sync.
-  peers_.push_back(nearest(coord, std::move(existing), cfg_.peer_degree));
+  peers_.push_back(nearest(coord, std::move(existing), kPeerDegree));
   for (sim::NodeId peer : peers_.back()) peers_[peer].push_back(id);
   return id;
 }

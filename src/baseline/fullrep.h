@@ -20,8 +20,6 @@
 namespace ici::baseline {
 
 struct FullRepConfig : host::HostConfig {
-  /// Outbound peers per node (graph is used bidirectionally).
-  std::size_t peer_degree = 8;
   /// Full stateful validation at every node. Disable for storage-only
   /// experiments at large N (saves the per-node UTXO copies).
   bool validate = true;
@@ -94,6 +92,9 @@ class FullRepNode final : public sim::INode, public sync::Peer<FullRepNode> {
 
 class FullRepNetwork final : public host::Host {
  public:
+  /// Outbound peers per node (graph is used bidirectionally).
+  static constexpr std::size_t kPeerDegree = 8;
+
   explicit FullRepNetwork(FullRepConfig cfg);
   ~FullRepNetwork() override;
 
@@ -106,7 +107,7 @@ class FullRepNetwork final : public host::Host {
   /// Statically installs a chain on every node (storage experiments).
   void preload_chain(const Chain& chain);
 
-  /// Adds a fresh node linked to its peer_degree nearest nodes — the pull
+  /// Adds a fresh node linked to its kPeerDegree nearest nodes — the pull
   /// peers of its bulk-sync join.
   [[nodiscard]] sim::NodeId add_sync_joiner(sim::Coord coord) override;
 

@@ -82,7 +82,7 @@ void RapidChainNode::receive_chunk(const ChunkMsg& msg) {
       std::find(members.begin(), members.end(), id_) - members.begin();
   auto fwd = std::make_shared<ChunkMsg>(msg);
   const std::size_t m = members.size();
-  for (std::size_t step = 1; step <= std::min(ctx_.gossip_degree(), m - 1); ++step) {
+  for (std::size_t step = 1; step <= std::min(RapidChainNetwork::kGossipDegree, m - 1); ++step) {
     const sim::NodeId next = members[(static_cast<std::size_t>(self) + step) % m];
     if (next == id_) continue;
     ctx_.network().send(id_, next, fwd);
@@ -119,7 +119,7 @@ RapidChainNetwork::RapidChainNetwork(RapidChainConfig cfg) : Host(cfg), cfg_(cfg
     throw std::invalid_argument("RapidChainNetwork: bad committee_count");
 
   const auto infos =
-      cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed, 100.0, false);
+      cluster::generate_topology(cfg_.node_count, host::kTopologyRegions, cfg_.seed);
   committees_.assign(cfg_.committee_count, {});
   for (const auto& info : infos)
     committees_[hashed_committee(info.id, cfg_.committee_count)].push_back(info.id);

@@ -32,10 +32,6 @@ namespace ici::baseline {
 struct RapidChainConfig : host::HostConfig {
   /// Number of committees k. Committee size m ≈ N/k.
   std::size_t committee_count = 4;
-  /// Ring successors each member relays a fresh chunk to. 1 is the minimum
-  /// for completeness; each extra unit adds one redundant copy of the block
-  /// per member (IDA gossip's erasure redundancy, simplified).
-  std::size_t gossip_degree = 2;
 };
 
 // -- wire messages ----------------------------------------------------------
@@ -99,6 +95,11 @@ class RapidChainNode final : public sim::INode, public sync::Peer<RapidChainNode
 
 class RapidChainNetwork final : public host::Host {
  public:
+  /// Ring successors each member relays a fresh chunk to. 1 is the minimum
+  /// for completeness; each extra unit adds one redundant copy of the block
+  /// per member (IDA gossip's erasure redundancy, simplified).
+  static constexpr std::size_t kGossipDegree = 2;
+
   explicit RapidChainNetwork(RapidChainConfig cfg);
   ~RapidChainNetwork() override;
 
@@ -118,7 +119,6 @@ class RapidChainNetwork final : public host::Host {
 
   [[nodiscard]] std::size_t committee_of_block(const Hash256& hash) const;
   [[nodiscard]] const std::vector<sim::NodeId>& committee_members(std::size_t c) const;
-  [[nodiscard]] std::size_t gossip_degree() const { return cfg_.gossip_degree; }
 
   [[nodiscard]] RapidChainNode& node(sim::NodeId id) { return nodes_.at(id); }
 

@@ -29,7 +29,7 @@ ValidationResult Validator::check_tx_stateless(const Transaction& tx) const {
 
 ValidationResult Validator::check_tx_stateful(const Transaction& tx, const UtxoSet& utxo) const {
   if (tx.is_coinbase()) {
-    if (tx.total_output() > cfg_.block_reward)
+    if (tx.total_output() > kBlockReward)
       return ValidationResult::fail("coinbase exceeds block reward");
     return ValidationResult::ok();
   }

@@ -23,8 +23,10 @@ struct ValidationResult {
   explicit operator bool() const { return valid; }
 };
 
+/// Value minted by each coinbase.
+inline constexpr Amount kBlockReward = 50'0000'0000ULL;
+
 struct ValidatorConfig {
-  Amount block_reward = 50'0000'0000ULL;  // minted by each coinbase
   std::size_t max_block_txs = 10'000;
   bool check_signatures = true;
 };

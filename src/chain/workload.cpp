@@ -6,6 +6,30 @@
 
 namespace ici {
 
+namespace {
+
+/// Value of every genesis output (wallets and traffic users alike).
+constexpr Amount kGenesisValueEach = 1'000'000;
+/// Probability a WorkloadGenerator tx has two outputs (payment + change).
+constexpr double kWalletChangeOutputProb = 0.8;
+
+/// Per-tx traffic fee drawn uniformly from [kFeeMin, kFeeMax], clamped below
+/// the spent value.
+constexpr Amount kFeeMin = 1;
+constexpr Amount kFeeMax = 64;
+/// Probability a traffic tx carries a change output back to the payer.
+constexpr double kTrafficChangeOutputProb = 0.5;
+/// Arrival modulation window: each window draws its burst state once and
+/// applies the diurnal factor at its start time.
+constexpr std::uint64_t kWindowUs = 100'000;
+/// Rate multiplier of a window that wins the burst lottery.
+constexpr double kBurstFactor = 4.0;
+/// Diurnal modulation: rate × (1 + amplitude · sin(2π·t/period)).
+constexpr double kDiurnalAmplitude = 0.3;
+constexpr std::uint64_t kDiurnalPeriodUs = 60'000'000;
+
+}  // namespace
+
 WorkloadGenerator::WorkloadGenerator(WorkloadConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   if (cfg_.wallet_count == 0) throw std::invalid_argument("wallet_count must be > 0");
   wallets_.reserve(cfg_.wallet_count);
@@ -21,7 +45,7 @@ Block WorkloadGenerator::make_genesis() {
   outs.reserve(cfg_.wallet_count * cfg_.genesis_outputs_per_wallet);
   for (std::size_t w = 0; w < cfg_.wallet_count; ++w) {
     for (std::size_t j = 0; j < cfg_.genesis_outputs_per_wallet; ++j) {
-      outs.push_back(TxOutput{cfg_.genesis_value_each, wallets_[w].pub});
+      outs.push_back(TxOutput{kGenesisValueEach, wallets_[w].pub});
     }
   }
   // Spendable bookkeeping happens in confirm(): the caller feeds the genesis
@@ -39,7 +63,7 @@ std::optional<Transaction> WorkloadGenerator::next_tx() {
 
   const std::size_t payee = rng_.index(wallets_.size());
   std::vector<TxOutput> outs;
-  if (sp.value >= 2 && rng_.chance(cfg_.change_output_prob)) {
+  if (sp.value >= 2 && rng_.chance(kWalletChangeOutputProb)) {
     const Amount pay = rng_.range(1, sp.value - 1);
     outs.push_back(TxOutput{pay, wallets_[payee].pub});
     outs.push_back(TxOutput{sp.value - pay, wallets_[sp.wallet].pub});
@@ -90,7 +114,6 @@ void WorkloadGenerator::confirm(const Block& block) {
 
 TrafficGenerator::TrafficGenerator(TrafficConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   if (cfg_.user_count == 0) throw std::invalid_argument("user_count must be > 0");
-  if (cfg_.window_us == 0) throw std::invalid_argument("window_us must be > 0");
   cfg_.hot_account_count = std::min(cfg_.hot_account_count, cfg_.user_count);
   users_.reserve(cfg_.user_count);
   by_pub_.reserve(cfg_.user_count);
@@ -121,7 +144,7 @@ Block TrafficGenerator::make_genesis() {
     const std::size_t n =
         u < cfg_.hot_account_count ? cfg_.hot_account_outputs : cfg_.outputs_per_user;
     for (std::size_t j = 0; j < n; ++j) {
-      outs.push_back(TxOutput{cfg_.genesis_value_each, users_[u].pub});
+      outs.push_back(TxOutput{kGenesisValueEach, users_[u].pub});
     }
   }
   Transaction mint({}, std::move(outs), /*nonce=*/0);
@@ -168,13 +191,13 @@ TrafficArrival TrafficGenerator::make_arrival(std::uint64_t at_us) {
   spendable_[payer].pop_back();
   pending_.emplace(sp.op, Pending{static_cast<std::uint32_t>(payer), sp.value});
 
-  Amount fee = cfg_.fee_max > 0 ? rng_.range(cfg_.fee_min, cfg_.fee_max) : 0;
+  Amount fee = rng_.range(kFeeMin, kFeeMax);
   fee = std::min(fee, sp.value - 1);  // outputs must stay non-empty and non-zero
   const Amount remaining = sp.value - fee;
   const std::size_t payee = pick_account();
 
   std::vector<TxOutput> outs;
-  if (remaining >= 2 && rng_.chance(cfg_.change_output_prob)) {
+  if (remaining >= 2 && rng_.chance(kTrafficChangeOutputProb)) {
     const Amount pay = rng_.range(1, remaining - 1);
     outs.push_back(TxOutput{pay, users_[payee].pub});
     outs.push_back(TxOutput{remaining - pay, users_[payer].pub});
@@ -193,30 +216,27 @@ TrafficArrival TrafficGenerator::make_arrival(std::uint64_t at_us) {
 
 std::vector<TrafficArrival> TrafficGenerator::arrivals_until(std::uint64_t to_us) {
   std::vector<TrafficArrival> out;
-  while (cursor_us_ + cfg_.window_us <= to_us) {
+  while (cursor_us_ + kWindowUs <= to_us) {
     const std::uint64_t start = cursor_us_;
-    cursor_us_ += cfg_.window_us;
+    cursor_us_ += kWindowUs;
 
-    double mult = 1.0;
-    if (cfg_.diurnal_amplitude != 0 && cfg_.diurnal_period_us > 0) {
-      const double phase = 2.0 * 3.14159265358979323846 *
-                           (static_cast<double>(start % cfg_.diurnal_period_us) /
-                            static_cast<double>(cfg_.diurnal_period_us));
-      mult *= std::max(0.0, 1.0 + cfg_.diurnal_amplitude * std::sin(phase));
-    }
+    const double phase = 2.0 * 3.14159265358979323846 *
+                         (static_cast<double>(start % kDiurnalPeriodUs) /
+                          static_cast<double>(kDiurnalPeriodUs));
+    double mult = std::max(0.0, 1.0 + kDiurnalAmplitude * std::sin(phase));
     // One burst lottery per window, drawn unconditionally so the stream of
     // RNG draws (and hence everything downstream) is config-stable.
     const bool burst = rng_.chance(cfg_.burst_prob);
-    if (burst) mult *= cfg_.burst_factor;
+    if (burst) mult *= kBurstFactor;
 
     const double expected =
-        cfg_.tx_rate_tps * (static_cast<double>(cfg_.window_us) / 1e6) * mult;
+        cfg_.tx_rate_tps * (static_cast<double>(kWindowUs) / 1e6) * mult;
     std::uint64_t count = static_cast<std::uint64_t>(expected);
     if (rng_.chance(expected - static_cast<double>(count))) ++count;
 
     std::vector<std::uint64_t> offsets;
     offsets.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) offsets.push_back(rng_.range(1, cfg_.window_us));
+    for (std::uint64_t i = 0; i < count; ++i) offsets.push_back(rng_.range(1, kWindowUs));
     std::sort(offsets.begin(), offsets.end());
     for (const std::uint64_t off : offsets) {
       TrafficArrival arrival = make_arrival(start + off);
@@ -255,7 +275,7 @@ Block ChainGenerator::next_block(const Chain& chain) {
   const std::uint64_t height = chain.height() + 1;
   std::vector<Transaction> txs;
   txs.reserve(cfg_.txs_per_block + 1);
-  txs.push_back(Transaction::coinbase(miner_.pub, ValidatorConfig{}.block_reward, height));
+  txs.push_back(Transaction::coinbase(miner_.pub, kBlockReward, height));
   for (Transaction& tx : workload_.batch(cfg_.txs_per_block)) txs.push_back(std::move(tx));
   Block block = Block::assemble(chain.tip().hash(), height, height * cfg_.block_interval_us,
                                 std::move(txs));

@@ -26,9 +26,6 @@ struct WorkloadConfig {
   std::size_t wallet_count = 64;
   /// Outputs minted per wallet in genesis.
   std::size_t genesis_outputs_per_wallet = 4;
-  Amount genesis_value_each = 1'000'000;
-  /// Probability a generated tx has two outputs (payment + change).
-  double change_output_prob = 0.8;
   /// Outputs confirmed in block h become spendable only at h + maturity.
   /// 0 = immediately spendable. Depth ≥ 1 lets dissemination pipelines
   /// validate block h+1 against state that block h cannot have changed.
@@ -90,23 +87,9 @@ struct TrafficConfig {
   std::size_t hot_account_outputs = 16;
   /// Genesis outputs per ordinary account.
   std::size_t outputs_per_user = 1;
-  Amount genesis_value_each = 1'000'000;
-  /// Per-tx fee drawn uniformly from [fee_min, fee_max] (0,0 = free txs),
-  /// clamped below the spent value.
-  Amount fee_min = 1;
-  Amount fee_max = 64;
-  /// Probability a tx carries a change output back to the payer.
-  double change_output_prob = 0.5;
-  /// Arrival modulation window: each window draws its burst state once and
-  /// applies the diurnal factor at its start time.
-  std::uint64_t window_us = 100'000;
   /// Per-window burst lottery: with probability burst_prob the window's
-  /// rate is multiplied by burst_factor.
+  /// rate is multiplied by kBurstFactor (4, workload.cpp).
   double burst_prob = 0.05;
-  double burst_factor = 4.0;
-  /// Diurnal modulation: rate × (1 + amplitude · sin(2π·t/period)).
-  double diurnal_amplitude = 0.3;
-  std::uint64_t diurnal_period_us = 60'000'000;
   std::uint64_t seed = 42;
 };
 

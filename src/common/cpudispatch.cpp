@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
@@ -75,17 +76,6 @@ Backend backend() { return static_cast<Backend>(backend_raw()); }
 
 void set_backend(Backend b) {
   g_backend.store(static_cast<int>(b), std::memory_order_relaxed);
-}
-
-bool set_backend_name(std::string_view name) {
-  if (name == "scalar") {
-    set_backend(Backend::kScalar);
-  } else if (name == "native") {
-    set_backend(Backend::kNative);
-  } else {
-    return false;
-  }
-  return true;
 }
 
 const char* backend_name() {

@@ -4,15 +4,12 @@
 // to its scalar reference (enforced by tests/test_cpu_backends.cpp), so the
 // selection only moves wall clock, never results.
 //
-// Selection order: the `ICI_CPU` environment variable ("scalar" or
-// "native", read once on first query) seeds the choice; set_backend() /
-// set_backend_name() — wired to the `--cpu` flag of every bench binary and
-// tools/icisim — override it at runtime. "native" means "the best kernels
-// this CPU supports", which degrades to scalar on hardware without them,
-// so it is always a valid request.
+// Selection: the `ICI_CPU` environment variable ("scalar" or "native", read
+// once on first query) is the one user-facing selector; set_backend()
+// overrides it at runtime (tests compare tiers in-process). "native" means
+// "the best kernels this CPU supports", which degrades to scalar on
+// hardware without them, so it is always a valid request.
 #pragma once
-
-#include <string_view>
 
 namespace ici::cpu {
 
@@ -35,9 +32,6 @@ struct Features {
 /// Current selection (initialized from $ICI_CPU, default native).
 [[nodiscard]] Backend backend();
 void set_backend(Backend b);
-/// Accepts "scalar" or "native"; returns false (and changes nothing) on any
-/// other string. The string form backs the --cpu flags.
-bool set_backend_name(std::string_view name);
 
 /// "scalar" | "native" — what config.cpu_backend reports in BENCH_*.json.
 [[nodiscard]] const char* backend_name();

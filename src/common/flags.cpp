@@ -1,14 +1,32 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 
-#include "common/cpudispatch.h"
 #include "common/thread_pool.h"
 
 namespace ici {
+
+bool parse_uint(const std::string& text, std::uint64_t* out) {
+  const char* end = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_finite_double(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
 
 FlagParser::FlagParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -42,20 +60,10 @@ const FlagParser::Flag* FlagParser::find(const std::string& name) const {
 
 bool FlagParser::assign(const Flag& flag, const std::string& value) {
   switch (flag.type) {
-    case Type::kUint: {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') return false;
-      *static_cast<std::uint64_t*>(flag.target) = v;
-      return true;
-    }
-    case Type::kDouble: {
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') return false;
-      *static_cast<double*>(flag.target) = v;
-      return true;
-    }
+    case Type::kUint:
+      return parse_uint(value, static_cast<std::uint64_t*>(flag.target));
+    case Type::kDouble:
+      return parse_finite_double(value, static_cast<double*>(flag.target));
     case Type::kString:
       *static_cast<std::string*>(flag.target) = value;
       return true;
@@ -126,9 +134,6 @@ void add_bench_flags(FlagParser& parser, BenchOptions* opts) {
   parser.add_uint("threads", &opts->threads,
                   "worker-pool lanes for the parallel hot paths (0 = hardware "
                   "concurrency; --smoke pins 2)");
-  parser.add_string("cpu", &opts->cpu,
-                    "SIMD dispatch tier: scalar forces portable kernels, native uses "
-                    "SHA-NI/AVX2 when present (also settable via ICI_CPU)");
   parser.add_uint("seed", &opts->seed, "deterministic seed");
   parser.add_string("fault-plan", &opts->fault_plan,
                     "fault-injection spec, e.g. seed=7,crash=0.3,drop=0.1 "
@@ -150,12 +155,7 @@ void add_bench_flags(FlagParser& parser, BenchOptions* opts) {
                   "disk (µs of sim time)");
 }
 
-std::size_t apply_bench_options(const BenchOptions& opts, const std::string& program) {
-  if (!opts.cpu.empty() && !cpu::set_backend_name(opts.cpu)) {
-    std::cerr << program << ": invalid --cpu value '" << opts.cpu
-              << "' (expected scalar|native)\n";
-    std::exit(2);
-  }
+std::size_t apply_bench_options(const BenchOptions& opts) {
   std::size_t threads = static_cast<std::size_t>(opts.threads);
   if (threads == 0 && opts.smoke) threads = 2;  // smoke pins 2 for reproducible CI
   ThreadPool::set_global_threads(threads);
@@ -177,7 +177,7 @@ BenchOptions parse_bench_options_or_exit(int argc, const char* const* argv,
     std::cerr << program << ": " << error << " (try --help)\n";
     std::exit(2);
   }
-  apply_bench_options(opts, program);
+  apply_bench_options(opts);
   return opts;
 }
 

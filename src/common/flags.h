@@ -10,6 +10,13 @@
 
 namespace ici {
 
+/// Strict whole-string number parsing shared by FlagParser and
+/// sim::FaultPlan::parse. Unsigned values are decimal digits only: no sign
+/// (strtoull would wrap "-5" to 2^64 - 5), no whitespace, no overflow.
+/// Doubles must be finite (NaN slips past every range check).
+[[nodiscard]] bool parse_uint(const std::string& text, std::uint64_t* out);
+[[nodiscard]] bool parse_finite_double(const std::string& text, double* out);
+
 class FlagParser {
  public:
   FlagParser(std::string program, std::string description);
@@ -49,15 +56,15 @@ class FlagParser {
 /// tool: `--smoke` runs a tiny configuration (CTest exercises the
 /// BENCH_*.json path this way), `--threads N` sizes the global worker pool
 /// (0 = hardware concurrency; --smoke pins 2 unless --threads is explicit),
-/// `--cpu scalar|native` pins the SIMD dispatch tier, `--seed` feeds the
-/// deterministic generators, and `--fault-plan SPEC` installs a
-/// sim::FaultPlan (see docs/FAULTS.md; empty = faults disabled). A new
-/// shared flag registers once in add_bench_flags instead of in every
-/// binary.
+/// `--seed` feeds the deterministic generators, and `--fault-plan SPEC`
+/// installs a sim::FaultPlan (see docs/FAULTS.md; empty = faults disabled;
+/// `crash=F` alone is churn). A new shared flag registers once in
+/// add_bench_flags instead of in every binary. The SIMD dispatch tier is
+/// not a flag: it comes from the ICI_CPU environment variable
+/// (common/cpudispatch.h).
 struct BenchOptions {
   bool smoke = false;
   std::uint64_t threads = 0;  // 0 = hardware concurrency
-  std::string cpu;            // "" = keep the default dispatch tier
   std::uint64_t seed = 42;
   std::string fault_plan;  // sim::FaultPlan::parse spec ("" = disabled)
   /// Offered client load in tx/s of simulated time for the ingest-driven
@@ -79,9 +86,9 @@ struct BenchOptions {
 /// Registers the shared bench flags on `parser`, bound to `*opts`.
 void add_bench_flags(FlagParser& parser, BenchOptions* opts);
 
-/// Applies the parsed options (SIMD dispatch tier, worker-pool lanes);
-/// exits 2 on an invalid --cpu value. Returns the lane count in effect.
-std::size_t apply_bench_options(const BenchOptions& opts, const std::string& program);
+/// Applies the parsed options (worker-pool lanes). Returns the lane count in
+/// effect.
+std::size_t apply_bench_options(const BenchOptions& opts);
 
 /// One-call helper for bench main(): registers the shared flags, parses
 /// argv (usage + exit 0 on --help, error + exit 2 on failure), applies the

@@ -37,13 +37,15 @@
 
 namespace ici::host {
 
+/// Geographic regions in the synthetic topology every facade generates
+/// (cluster::generate_topology).
+inline constexpr std::size_t kTopologyRegions = 5;
+
 /// Construction knobs every simulated strategy shares; each facade config
 /// extends it with its protocol's own fields.
 struct HostConfig {
   std::size_t node_count = 64;
   sim::NetworkConfig net;
-  /// Geographic regions in the synthetic topology.
-  std::size_t regions = 5;
   std::uint64_t seed = 1;
   /// Serve-side bulk-sync rate limit per (server, peer) pair in bytes per
   /// second of sim time; 0 disables throttling (--sync-serve-rate).
@@ -108,7 +110,7 @@ class Host {
   void start_faults(const sim::FaultPlan& plan);
   [[nodiscard]] const sim::FaultInjector* faults() const { return faults_.get(); }
 
-  /// Observer for online/offline flips from churn or fault injection, fired
+  /// Observer for online/offline flips from fault injection, fired
   /// after the facade reacted (ICI: directory update and repair). The join
   /// driver uses it to abandon a crashed joiner's session and resume it on
   /// restart. Pass nullptr to uninstall.
@@ -143,7 +145,7 @@ class Host {
   void begin_genesis();
   void require_genesis() const;
 
-  /// Online/offline flip from churn or fault injection: counts it
+  /// Online/offline flip from fault injection: counts it
   /// (churn.up / churn.down), lets the facade react, then tells the
   /// status observer.
   void status_changed(sim::NodeId id, bool online);

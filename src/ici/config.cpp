@@ -14,7 +14,6 @@ bool IciConfig::valid(std::string* why) const {
     return fail("clustering must be kmeans|random|grid");
   if (erasure_data + erasure_parity > 255)
     return fail("erasure_data + erasure_parity must be <= 255");
-  if (fetch_retry_backoff < 1.0) return fail("fetch_retry_backoff must be >= 1.0");
   return true;
 }
 

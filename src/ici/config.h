@@ -29,35 +29,17 @@ struct IciConfig {
   std::size_t erasure_data = 0;
   std::size_t erasure_parity = 0;
 
-  /// Weight the rendezvous assignment by node capacity (D2).
-  bool capacity_weighted_assignment = true;
-
   /// Clustering strategy: "kmeans" (default), "random", or "grid" (D1).
   std::string clustering = "kmeans";
 
   /// Fraction of online members whose approval commits a block (D4).
   double vote_quorum = 2.0 / 3.0;
 
-  /// Head gives up waiting for votes after this much simulated time and
-  /// commits/aborts on what it has.
-  sim::SimTime verify_timeout_us = 30'000'000;
-
-  /// A member gives up on outstanding UTXO-shard lookups after this long and
-  /// votes with what it knows (missing lookups count as unknown, which the
-  /// member treats as approve-with-caveat; see IciNode::finish_slice).
-  sim::SimTime lookup_timeout_us = 5'000'000;
-
-  /// A fetching node tries the next candidate storer after this long.
-  sim::SimTime fetch_timeout_us = 10'000'000;
-
   /// Extra full passes over the candidate list after the first exhausts
   /// (retry-with-backoff for lossy networks; E20 enables it under message
   /// drops). 0 = one pass then give up — the fault-free default, which
   /// keeps sim metrics bit-identical with pre-fault builds.
   std::size_t fetch_retry_rounds = 0;
-
-  /// Per-attempt timeout multiplier applied on each retry round.
-  double fetch_retry_backoff = 2.0;
 
   /// When a block's own-cluster holders are all unreachable, fall back to
   /// the storers of other clusters (the network keeps k copies — one per

@@ -13,6 +13,9 @@ using cluster::NodeId;
 
 namespace {
 
+/// Weight the rendezvous assignment by node capacity (D2).
+constexpr bool kCapacityWeightedAssignment = true;
+
 std::unique_ptr<cluster::Clusterer> make_clusterer(const std::string& name,
                                                    std::uint64_t seed) {
   if (name == "kmeans") return std::make_unique<cluster::KMeansClusterer>(seed);
@@ -29,15 +32,13 @@ IciNetwork::IciNetwork(IciNetworkConfig cfg) : Host(cfg), cfg_(std::move(cfg)) {
   if (cfg_.node_count < cfg_.ici.cluster_count)
     throw std::invalid_argument("node_count must be >= cluster_count");
 
-  infos_ = cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed,
-                                      /*world_size=*/100.0, cfg_.heterogeneous_capacity);
+  infos_ = cluster::generate_topology(cfg_.node_count, host::kTopologyRegions, cfg_.seed);
 
   const auto clusterer = make_clusterer(cfg_.ici.clustering, cfg_.ici.seed);
   cluster::Clustering clustering = clusterer->cluster(infos_, cfg_.ici.cluster_count);
   directory_ = std::make_unique<cluster::ClusterDirectory>(infos_, std::move(clustering));
 
-  assigner_ =
-      std::make_unique<cluster::RendezvousAssigner>(cfg_.ici.capacity_weighted_assignment);
+  assigner_ = std::make_unique<cluster::RendezvousAssigner>(kCapacityWeightedAssignment);
   shard_owner_assigner_ = std::make_unique<cluster::RendezvousAssigner>(false);
   if (cfg_.ici.erasure_data > 0) {
     codec_ = std::make_unique<erasure::ReedSolomon>(cfg_.ici.erasure_data,
@@ -257,14 +258,6 @@ void IciNetwork::preload_chain(const Chain& chain, bool build_tx_index) {
     committed_index_.emplace(hash, committed_.size());
     committed_.push_back({hash, h, block.serialized_size()});
   }
-}
-
-void IciNetwork::start_churn(sim::ChurnConfig cfg) {
-  churn_ = std::make_unique<sim::ChurnModel>(network(), cfg);
-  std::vector<NodeId> all;
-  all.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) all.push_back(static_cast<NodeId>(i));
-  churn_->start(all, [this](NodeId id, bool online) { status_changed(id, online); });
 }
 
 void IciNetwork::start_repair_daemon(sim::SimTime interval_us, sim::SimTime until_us) {

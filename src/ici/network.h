@@ -22,15 +22,12 @@
 #include "erasure/rs.h"
 #include "host/host.h"
 #include "ici/node.h"
-#include "sim/churn.h"
 #include "storage/storage_meter.h"
 
 namespace ici::core {
 
 struct IciNetworkConfig : host::HostConfig {
   IciConfig ici;
-  /// Draw per-node capacities in the synthetic topology (else all 1.0).
-  bool heterogeneous_capacity = false;
 };
 
 class IciNetwork final : public host::Host {
@@ -58,10 +55,6 @@ class IciNetwork final : public host::Host {
   /// O(txs·k) hashing, so it is opt-in).
   void preload_chain(const Chain& chain, bool build_tx_index = false);
 
-  /// Starts churn over all nodes; offline/online transitions trigger the
-  /// repair protocol (actual copy traffic).
-  void start_churn(sim::ChurnConfig cfg);
-
   /// Starts a background repair daemon: every `interval_us` of sim time a
   /// full repair pass runs over every cluster, re-replicating slices lost to
   /// crashes. Bounded by `until_us` so settle()'s drain terminates.
@@ -76,7 +69,8 @@ class IciNetwork final : public host::Host {
   /// the network keeps one copy per cluster).
   [[nodiscard]] double network_availability() const;
 
-  /// Runs a repair pass for a cluster now (also invoked by churn hooks).
+  /// Runs a repair pass for a cluster now (also invoked on every crash or
+  /// restart of a FaultPlan, host::Host::start_faults).
   void repair_cluster(std::size_t cluster);
 
   // -- accessors used by IciNode and the experiment harnesses ------------
@@ -165,7 +159,7 @@ class IciNetwork final : public host::Host {
   std::uint64_t prune_unassigned();
 
  private:
-  /// Crash/restart or churn flip: update the directory, then repair.
+  /// Crash/restart flip: update the directory, then repair.
   void on_status_change(sim::NodeId id, bool online) override;
   void repair_cluster_coded(std::size_t cluster);
   sync::PeerSession& sync_peer(sim::NodeId id) override { return nodes_.at(id); }
@@ -178,7 +172,6 @@ class IciNetwork final : public host::Host {
   std::unique_ptr<cluster::BlockAssigner> assigner_;
   std::unique_ptr<cluster::BlockAssigner> shard_owner_assigner_;  // unweighted, r=1
   ObjectArena<IciNode> nodes_;
-  std::unique_ptr<sim::ChurnModel> churn_;
   std::unique_ptr<cluster::RepairDaemon> repair_daemon_;
   std::unique_ptr<erasure::ReedSolomon> codec_;
 

@@ -38,6 +38,22 @@ Bytes vote_payload(const Hash256& block_hash, bool approve, const Hash256& slice
 // microseconds while still splitting paper-sized slices across workers.
 constexpr std::size_t kSliceVerifyGrain = 8;
 
+/// Head gives up waiting for votes after this much simulated time and
+/// commits/aborts on what it has.
+constexpr sim::SimTime kVerifyTimeoutUs = 30'000'000;
+
+/// A member gives up on outstanding UTXO-shard lookups after this long and
+/// votes with what it knows (missing lookups count as unknown, which the
+/// member treats as approve-with-caveat; see IciNode::finish_slice).
+constexpr sim::SimTime kLookupTimeoutUs = 5'000'000;
+
+/// A fetching node tries the next candidate storer after this long.
+constexpr sim::SimTime kFetchTimeoutUs = 10'000'000;
+
+/// Per-attempt timeout multiplier applied on each retry round
+/// (IciConfig::fetch_retry_rounds).
+constexpr double kFetchRetryBackoff = 2.0;
+
 }  // namespace
 
 IciNode::IciNode(IciNetwork& ctx, NodeId id)
@@ -225,7 +241,7 @@ void IciNode::start_cluster_verification(std::shared_ptr<const Block> block) {
   }
   ctx_.metrics().counter("verify.rounds_started").inc();
 
-  ctx_.simulator().after(ctx_.config().verify_timeout_us, [this, hash] {
+  ctx_.simulator().after(kVerifyTimeoutUs, [this, hash] {
     const auto it = verifying_.find(hash);
     if (it == verifying_.end() || it->second.decided) return;
     PendingVerify& pv = it->second;
@@ -376,7 +392,7 @@ void IciNode::start_challenge(const Hash256& block_hash, const Hash256& txid) {
   if (it->second.outstanding_lookups == 0) {
     finish_challenge(key);
   } else {
-    ctx_.simulator().after(ctx_.config().lookup_timeout_us, [this, key] {
+    ctx_.simulator().after(kLookupTimeoutUs, [this, key] {
       const auto pending = challenges_.find(key);
       if (pending == challenges_.end() || pending->second.done) return;
       pending->second.lookup_timeout = true;
@@ -563,7 +579,7 @@ void IciNode::handle_slice(sim::NodeId from, const SliceMsg& msg) {
   if (it->second.outstanding_lookups == 0) {
     finish_slice(hash);
   } else {
-    ctx_.simulator().after(ctx_.config().lookup_timeout_us, [this, hash] {
+    ctx_.simulator().after(kLookupTimeoutUs, [this, hash] {
       const auto pending = slices_.find(hash);
       if (pending == slices_.end() || pending->second.done) return;
       pending->second.any_lookup_failed = true;
@@ -826,7 +842,7 @@ void IciNode::fetch_block(const Hash256& hash, std::uint64_t height, FetchCallba
   pf.hash = hash;
   pf.candidates = std::move(candidates);
   pf.started = ctx_.simulator().now();
-  pf.timeout_us = ctx_.config().fetch_timeout_us;
+  pf.timeout_us = kFetchTimeoutUs;
   pf.rounds_left = static_cast<std::uint32_t>(ctx_.config().fetch_retry_rounds);
   pf.cb = std::move(cb);
   fetches_.emplace(rid, std::move(pf));
@@ -839,7 +855,7 @@ void IciNode::pull_from(sim::NodeId source, const Hash256& hash) {
   pf.hash = hash;
   pf.candidates = {source};
   pf.started = ctx_.simulator().now();
-  pf.timeout_us = ctx_.config().fetch_timeout_us;
+  pf.timeout_us = kFetchTimeoutUs;
   pf.rounds_left = static_cast<std::uint32_t>(ctx_.config().fetch_retry_rounds);
   pf.cb = [this](const FetchResult& r) {
     if (r.block) {
@@ -868,7 +884,7 @@ void IciNode::try_next_candidate(std::uint64_t request_id) {
       ++pf.rounds_used;
       pf.next_candidate = 0;
       pf.timeout_us = static_cast<sim::SimTime>(
-          static_cast<double>(pf.timeout_us) * ctx_.config().fetch_retry_backoff);
+          static_cast<double>(pf.timeout_us) * kFetchRetryBackoff);
       ctx_.metrics().counter("retrieval.retry_rounds").inc();
     } else {
       finish_fetch(request_id, nullptr);
@@ -935,7 +951,7 @@ void IciNode::fetch_block_coded(const Hash256& hash, std::uint64_t height, Fetch
   pf.height = height;
   pf.have.assign(ctx_.codec().total_shards(), false);
   pf.started = ctx_.simulator().now();
-  pf.timeout_us = ctx_.config().fetch_timeout_us;
+  pf.timeout_us = kFetchTimeoutUs;
   pf.rounds_left = static_cast<std::uint32_t>(ctx_.config().fetch_retry_rounds);
   pf.store_index = store_index;
   pf.cb = std::move(cb);
@@ -994,7 +1010,7 @@ void IciNode::arm_coded_deadline(std::uint64_t request_id) {
       pf.outstanding = 0;
       pf.next_candidate = 0;
       pf.timeout_us = static_cast<sim::SimTime>(
-          static_cast<double>(pf.timeout_us) * ctx_.config().fetch_retry_backoff);
+          static_cast<double>(pf.timeout_us) * kFetchRetryBackoff);
       ctx_.metrics().counter("retrieval.retry_rounds").inc();
       pump_coded_fetch(request_id);
       arm_coded_deadline(request_id);
@@ -1196,7 +1212,7 @@ void IciNode::try_next_proof_candidate(std::uint64_t request_id) {
   req->request_id = request_id;
   ctx_.network().send(id_, target, std::move(req));
 
-  ctx_.simulator().after(ctx_.config().fetch_timeout_us, [this, request_id, attempt] {
+  ctx_.simulator().after(kFetchTimeoutUs, [this, request_id, attempt] {
     const auto pending = proofs_.find(request_id);
     if (pending == proofs_.end() || pending->second.done) return;
     if (pending->second.next_candidate != attempt) return;
@@ -1260,7 +1276,7 @@ void IciNode::locate_tx(const Hash256& txid, LocateCallback cb) {
   req->request_id = rid;
   ctx_.network().send(id_, owner, std::move(req));
 
-  ctx_.simulator().after(ctx_.config().fetch_timeout_us, [this, rid] {
+  ctx_.simulator().after(kFetchTimeoutUs, [this, rid] {
     const auto it = locates_.find(rid);
     if (it == locates_.end() || it->second.done) return;
     // Owner unreachable: report as not found (the caller can retry later).

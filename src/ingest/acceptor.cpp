@@ -7,6 +7,14 @@
 
 namespace ici::ingest {
 
+namespace {
+
+/// parallel_for grain for the prescreen pass (chunk shape is part of the
+/// determinism contract only through result order, which is index-based).
+constexpr std::size_t kPrescreenGrain = 64;
+
+}  // namespace
+
 TxAcceptor::TxAcceptor(AcceptorConfig cfg, Mempool* pool, const UtxoSet* utxo)
     : cfg_(cfg),
       pool_(pool),
@@ -89,7 +97,7 @@ void TxAcceptor::run_batch() {
   };
   std::vector<Screen> screens(fresh.size());
   ThreadPool::global().parallel_for(
-      0, fresh.size(), cfg_.prescreen_grain, [&](std::size_t begin, std::size_t end) {
+      0, fresh.size(), kPrescreenGrain, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const Transaction& tx = fresh[i].tx;
           if (!validator_.check_tx_stateless(tx)) continue;

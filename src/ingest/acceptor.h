@@ -40,9 +40,6 @@ struct AcceptorConfig {
   Amount min_fee = 0;
   /// Verify input signatures during prescreen.
   bool check_signatures = true;
-  /// parallel_for grain for the prescreen pass (chunk shape is part of the
-  /// determinism contract only through result order, which is index-based).
-  std::size_t prescreen_grain = 64;
 };
 
 /// Monotonic pipeline tallies — the source of the ingest.* counters.

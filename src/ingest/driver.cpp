@@ -11,6 +11,13 @@
 
 namespace ici::ingest {
 
+namespace {
+
+/// Mixed into the traffic seed to derive the proposer's coinbase key.
+constexpr std::uint64_t kMinerSeed = 0xace;
+
+}  // namespace
+
 DriverReport IngestDriver::run(core::Strategy& strategy) {
   TrafficGenerator gen(traffic_);
   Block genesis = gen.make_genesis();
@@ -49,7 +56,7 @@ DriverReport IngestDriver::run(core::Strategy& strategy) {
   vcfg.max_block_txs = cfg_.max_block_txs + 1;  // + coinbase
   vcfg.check_signatures = cfg_.acceptor.check_signatures;
   const Validator validator(vcfg);
-  const KeyPair miner = KeyPair::from_seed(traffic_.seed ^ cfg_.miner_seed);
+  const KeyPair miner = KeyPair::from_seed(traffic_.seed ^ kMinerSeed);
 
   // The driver's logical clock. Proposals serialize on full commit: block h
   // cannot be proposed before block h-1 finished disseminating, so when
@@ -71,8 +78,7 @@ DriverReport IngestDriver::run(core::Strategy& strategy) {
 
     std::vector<Transaction> txs;
     txs.reserve(cfg_.max_block_txs + 1);
-    txs.push_back(
-        Transaction::coinbase(miner.pub, validator.config().block_reward, h));
+    txs.push_back(Transaction::coinbase(miner.pub, kBlockReward, h));
     while (txs.size() < cfg_.max_block_txs + 1 && !pool.empty()) {
       for (Transaction& tx : pool.take(cfg_.max_block_txs + 1 - txs.size())) {
         // The ancestor-confirmation guard: the pool knows nothing about

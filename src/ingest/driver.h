@@ -43,7 +43,6 @@ struct DriverConfig {
   /// Record the txid of every accepted tx in admission order (the
   /// determinism suites compare it across --threads).
   bool capture_accepted_order = false;
-  std::uint64_t miner_seed = 0xace;
   /// Invoked right after Strategy::init — e.g. to install a fault plan
   /// (message faults only; crash schedules never quiesce a settle-driven
   /// run) before the first proposal.

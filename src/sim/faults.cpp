@@ -1,9 +1,10 @@
 #include "sim/faults.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
+
+#include "common/flags.h"
 
 namespace ici::sim {
 
@@ -13,19 +14,14 @@ namespace {
 /// a retransmitted datagram trails the original closely.
 constexpr double kDuplicateGapMeanUs = 1'000.0;
 
-bool parse_double(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(const std::string& value, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return false;
-  *out = v;
+/// Seconds to whole µs. Rejects a duration that is not positive or whose
+/// µs count does not fit SimTime (that double→integer cast would be UB).
+bool parse_seconds(const std::string& value, SimTime* out) {
+  double s = 0.0;
+  if (!parse_finite_double(value, &s)) return false;
+  const double us = s * 1e6;
+  if (!(us >= 1.0 && us < 0x1p64)) return false;
+  *out = static_cast<SimTime>(us);
   return true;
 }
 
@@ -60,25 +56,22 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan* out, std::string* error)
     const std::string key(item.substr(0, eq));
     const std::string value(item.substr(eq + 1));
 
-    double d = 0.0;
     std::uint64_t u = 0;
     bool ok = true;
     if (key == "seed") {
-      ok = parse_u64(value, &plan.seed);
+      ok = parse_uint(value, &plan.seed);
     } else if (key == "crash") {
-      ok = parse_double(value, &plan.crash_fraction);
+      ok = parse_finite_double(value, &plan.crash_fraction);
     } else if (key == "up_s") {
-      ok = parse_double(value, &d);
-      if (ok) plan.mean_uptime_us = static_cast<SimTime>(d * 1e6);
+      ok = parse_seconds(value, &plan.mean_uptime_us);
     } else if (key == "down_s") {
-      ok = parse_double(value, &d);
-      if (ok) plan.mean_downtime_us = static_cast<SimTime>(d * 1e6);
+      ok = parse_seconds(value, &plan.mean_downtime_us);
     } else if (key == "drop") {
-      ok = parse_double(value, &plan.message.drop_prob);
+      ok = parse_finite_double(value, &plan.message.drop_prob);
     } else if (key == "dup") {
-      ok = parse_double(value, &plan.message.duplicate_prob);
+      ok = parse_finite_double(value, &plan.message.duplicate_prob);
     } else if (key == "delay_us") {
-      ok = parse_u64(value, &u);
+      ok = parse_uint(value, &u);
       if (ok) plan.message.extra_delay_mean_us = static_cast<double>(u);
     } else {
       if (error != nullptr) *error = "fault plan: unknown key '" + key + "'";
@@ -96,11 +89,6 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan* out, std::string* error)
       if (error != nullptr) *error = "fault plan: probabilities must be in [0, 1]";
       return false;
     }
-  }
-  if (plan.message.extra_delay_mean_us < 0.0 || plan.mean_uptime_us == 0 ||
-      plan.mean_downtime_us == 0) {
-    if (error != nullptr) *error = "fault plan: durations must be positive";
-    return false;
   }
   *out = std::move(plan);
   if (error != nullptr) error->clear();

@@ -43,7 +43,7 @@ struct MessageFaultRule {
 
 /// A scripted crash: `node` goes down at `at_us` and (optionally) returns at
 /// `restart_at_us` (0 = never restarts). Used by tests that need exact
-/// casualty sets rather than random churn.
+/// casualty sets rather than random crash sessions.
 struct CrashWindow {
   NodeId node = kNoNode;
   SimTime at_us = 0;
@@ -64,9 +64,9 @@ struct FaultPlan {
   /// Seeds the injector's private Rng; the whole schedule derives from it.
   std::uint64_t seed = 1;
 
-  /// Random crash/restart sessions, churn-style: each candidate node joins
-  /// the crash set with this probability, then alternates exponential
-  /// up/down sessions.
+  /// Random crash/restart sessions — the simulator's one churn model: each
+  /// candidate node joins the crash set with this probability, then
+  /// alternates exponential up/down sessions.
   double crash_fraction = 0.0;
   SimTime mean_uptime_us = 600'000'000;   // 10 min
   SimTime mean_downtime_us = 60'000'000;  // 1 min
@@ -86,8 +86,10 @@ struct FaultPlan {
 
   /// Parses a compact spec string — comma-separated key=value pairs:
   ///   seed=7,crash=0.3,up_s=600,down_s=60,drop=0.1,dup=0.02,delay_us=5000
-  /// Unknown keys and out-of-range probabilities fail with a message in
-  /// *error. An empty spec parses to a disabled plan. Scripted crashes,
+  /// Unknown keys, out-of-range or non-finite probabilities, signed or
+  /// overflowing integers, and durations that are not positive or do not
+  /// fit SimTime fail with a message in *error. An empty spec parses to a
+  /// disabled plan. Scripted crashes,
   /// partitions, and per-class rules are programmatic-only.
   static bool parse(std::string_view spec, FaultPlan* out, std::string* error);
 
@@ -121,7 +123,7 @@ class FaultInjector {
 
   /// Selects the random crash set from `candidates` and schedules their
   /// sessions plus every scripted CrashWindow. `on_change` fires after each
-  /// network state flip (protocols hook repair here, exactly like churn).
+  /// network state flip (protocols hook repair here).
   void start(const std::vector<NodeId>& candidates, Callback on_change);
 
   /// Verdict for one scheduled delivery. duplicate_delay_us < 0 means "no

@@ -39,8 +39,6 @@ struct StoreConfig {
   /// and read clocks serialize per node, so queueing delay emerges.
   std::uint64_t io_write_us = 100;
   std::uint64_t io_read_us = 150;
-  /// Compact a node's log when dead bytes exceed this fraction of the log.
-  double compact_threshold = 0.5;
 };
 
 /// Per-backend event tallies, summed over a fleet into the `store.*`

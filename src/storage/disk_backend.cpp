@@ -9,6 +9,9 @@ namespace ici {
 
 namespace {
 
+/// Compact a node's log when dead bytes exceed this fraction of the log.
+constexpr double kCompactThreshold = 0.5;
+
 void put_u32le(std::uint8_t* out, std::uint32_t v) {
   out[0] = static_cast<std::uint8_t>(v);
   out[1] = static_cast<std::uint8_t>(v >> 8);
@@ -330,7 +333,7 @@ void DiskBackend::maybe_compact() {
   const std::uint64_t total = counters_.segment_bytes;
   if (total == 0 || dead_bytes_ == 0) return;
   if (static_cast<double>(dead_bytes_) <=
-      cfg_.compact_threshold * static_cast<double>(total)) {
+      kCompactThreshold * static_cast<double>(total)) {
     return;
   }
   compact();

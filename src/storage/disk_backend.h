@@ -23,7 +23,7 @@
 // Without an IoEnv the backend is synchronous (tests, tools).
 //
 // erase() cancels a staged write outright or appends a tombstone; when dead
-// bytes exceed StoreConfig::compact_threshold of the log, the live records
+// bytes exceed half the log (kCompactThreshold), the live records
 // are rewritten into fresh segments and the old files deleted. Cancelling
 // the write-queue tail rolls the write clock back (the device slot is
 // reclaimed); cancelling mid-queue does not — retirement events for the

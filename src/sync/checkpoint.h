@@ -24,13 +24,6 @@ struct SyncConfig {
   std::uint32_t per_peer_window = 2;
   /// Pull peers used in parallel (frontier may probe more candidates).
   std::uint32_t max_peers = 4;
-  /// Frontier round deadline before a retry.
-  sim::SimTime frontier_timeout_us = 300'000;
-  /// Per-range deadline before the range is reassigned to another peer.
-  sim::SimTime range_timeout_us = 2'000'000;
-  /// Retries per range / per body / per frontier round before the
-  /// session gives up.
-  std::uint32_t max_retries = 8;
 };
 
 /// A body (or assigned shard) whose header range already committed but

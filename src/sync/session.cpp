@@ -7,6 +7,18 @@
 
 namespace ici::sync {
 
+namespace {
+
+/// Frontier round deadline before a retry.
+constexpr sim::SimTime kFrontierTimeoutUs = 300'000;
+/// Per-range deadline before the range is reassigned to another peer.
+constexpr sim::SimTime kRangeTimeoutUs = 2'000'000;
+/// Retries per range / per body / per frontier round before the session
+/// gives up.
+constexpr std::uint32_t kMaxRetries = 8;
+
+}  // namespace
+
 std::shared_ptr<BulkPullSession> BulkPullSession::start(
     Env& env, const SyncConfig& cfg, SyncCheckpoint* checkpoint,
     std::vector<sim::NodeId> candidates, std::uint64_t session_id, DoneFn on_done) {
@@ -72,7 +84,7 @@ void BulkPullSession::begin_frontier() {
   }
   const std::uint64_t token = ++token_counter_;
   frontier_token_ = token;
-  arm(cfg_.frontier_timeout_us, [this, token] {
+  arm(kFrontierTimeoutUs, [this, token] {
     if (frontier_done_ || frontier_token_ != token) return;
     finish_frontier();
   });
@@ -90,7 +102,7 @@ void BulkPullSession::finish_frontier() {
   if (frontier_done_ || finished_) return;
   if (frontier_tips_.empty()) {
     // Nobody answered in time — retry the whole round or give up.
-    if (++frontier_attempts_ > cfg_.max_retries) {
+    if (++frontier_attempts_ > kMaxRetries) {
       finish(false);
       return;
     }
@@ -183,7 +195,7 @@ void BulkPullSession::pump() {
       auto holders = env_.sync_body_candidates(want.hash, want.height);
       if (holders.empty()) {
         // Nobody can serve it right now — retry later rounds, then fail.
-        if (want.attempts >= cfg_.max_retries) {
+        if (want.attempts >= kMaxRetries) {
           cp_->bodies_failed += 1;
           erase_pending(want.hash);
         } else {
@@ -229,7 +241,7 @@ void BulkPullSession::issue_range(std::size_t index, sim::NodeId peer) {
   env_.sync_send(peer, std::move(req));
 
   const std::uint64_t token = r.token;
-  arm(cfg_.range_timeout_us, [this, index, token] { on_range_timeout(index, token); });
+  arm(kRangeTimeoutUs, [this, index, token] { on_range_timeout(index, token); });
 }
 
 void BulkPullSession::on_range_timeout(std::size_t index, std::uint64_t token) {
@@ -244,7 +256,7 @@ void BulkPullSession::retry_range(std::size_t index) {
   if (it != inflight_.end() && it->second > 0) it->second -= 1;
   cp_->ranges_retried += 1;
   r.attempts += 1;
-  if (r.attempts > cfg_.max_retries) {
+  if (r.attempts > kMaxRetries) {
     finish(false);
     return;
   }
@@ -397,7 +409,7 @@ void BulkPullSession::issue_body_pull(std::uint32_t pull_id, sim::NodeId peer,
   body_pulls_.emplace(pull_id, std::move(pull));
 
   env_.sync_send(peer, std::move(req));
-  arm(cfg_.range_timeout_us, [this, pull_id, token] { on_body_timeout(pull_id, token); });
+  arm(kRangeTimeoutUs, [this, pull_id, token] { on_body_timeout(pull_id, token); });
 }
 
 void BulkPullSession::on_body_response(sim::NodeId /*from*/,
@@ -445,7 +457,7 @@ void BulkPullSession::on_body_timeout(std::uint32_t pull_id, std::uint64_t token
 
 void BulkPullSession::requeue_body(BodyWant want) {
   want.attempts += 1;
-  if (want.attempts > cfg_.max_retries) {
+  if (want.attempts > kMaxRetries) {
     cp_->bodies_failed += 1;
     erase_pending(want.hash);
     return;

@@ -110,7 +110,7 @@ TEST(FullRep, PeerGraphDegreeAndSymmetry) {
   Rig rig(20);
   for (std::size_t id = 0; id < rig.net->node_count(); ++id) {
     const auto& peers = rig.net->peers(static_cast<sim::NodeId>(id));
-    EXPECT_GE(peers.size(), rig.net->config().peer_degree);
+    EXPECT_GE(peers.size(), FullRepNetwork::kPeerDegree);
     for (sim::NodeId p : peers) {
       const auto& back = rig.net->peers(p);
       EXPECT_NE(std::find(back.begin(), back.end(), static_cast<sim::NodeId>(id)), back.end())

@@ -117,7 +117,7 @@ TEST(RapidChain, IdaGossipCostsAboutGossipDegreeBlocksPerMember) {
 
   const std::size_t c = net.committee_of_block(chain.at_height(1).hash());
   const double m = static_cast<double>(net.committee_members(c).size());
-  const double d = static_cast<double>(net.gossip_degree());
+  const double d = static_cast<double>(RapidChainNetwork::kGossipDegree);
   const double copies = static_cast<double>(net.network().total_traffic().bytes_sent) /
                         static_cast<double>(chain.at_height(1).serialized_size());
   // Flooding with dedup: every member relays each fresh chunk to d ring

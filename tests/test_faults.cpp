@@ -100,14 +100,27 @@ TEST(FaultPlanSpec, EmptySpecIsDisabled) {
   EXPECT_FALSE(plan.enabled());
 }
 
-TEST(FaultPlanSpec, RejectsBadInput) {
+TEST(FaultPlanSpec, RejectsMalformed) {
+  // NaN passes a `p < 0 || p > 1` check, a leading '-' wraps an unsigned
+  // parse to ~1.8e19, and a negative or oversized duration makes the
+  // double -> SimTime cast undefined: all must be refused outright.
+  for (const char* spec :
+       {"bogus=1", "drop=1.5", "crash", "up_s=0,crash=0.1", "crash=nan", "drop=nan", "dup=nan",
+        "crash=inf", "drop=-inf", "delay_us=-5", "seed=-1", "seed=+1", "seed= 1",
+        "seed=18446744073709551616", "up_s=-1", "down_s=-0.5", "up_s=nan", "down_s=inf",
+        "up_s=1e300", "up_s=0.0000001", "delay_us=1.5"}) {
+    sim::FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(sim::FaultPlan::parse(spec, &plan, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+  // The largest representable values still parse.
   sim::FaultPlan plan;
   std::string error;
-  EXPECT_FALSE(sim::FaultPlan::parse("bogus=1", &plan, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(sim::FaultPlan::parse("drop=1.5", &plan, &error));
-  EXPECT_FALSE(sim::FaultPlan::parse("crash", &plan, &error));
-  EXPECT_FALSE(sim::FaultPlan::parse("up_s=0,crash=0.1", &plan, &error));
+  ASSERT_TRUE(sim::FaultPlan::parse("seed=18446744073709551615,up_s=1e12", &plan, &error))
+      << error;
+  EXPECT_EQ(plan.seed, 18446744073709551615u);
+  EXPECT_EQ(plan.mean_uptime_us, 1'000'000'000'000'000'000u);
 }
 
 // -- determinism --------------------------------------------------------------

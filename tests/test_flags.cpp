@@ -79,13 +79,24 @@ TEST(Flags, UnknownFlagFails) {
 }
 
 TEST(Flags, BadValueFails) {
+  // A signed or overflowing uint must not wrap to ~1.8e19, and NaN must not
+  // slip past a caller's range check.
   Bound b;
   FlagParser p = make_parser(b);
   std::string err;
-  EXPECT_FALSE(run(p, {"--nodes=abc"}, &err));
-  EXPECT_NE(err.find("bad value"), std::string::npos);
-  EXPECT_FALSE(run(p, {"--fraction=xyz"}, &err));
-  EXPECT_FALSE(run(p, {"--verbose=maybe"}, &err));
+  for (const char* arg :
+       {"--nodes=abc", "--fraction=xyz", "--verbose=maybe", "--nodes=-5", "--nodes=-0",
+        "--nodes=+5", "--nodes= 5", "--nodes=18446744073709551616", "--fraction=nan",
+        "--fraction=-nan", "--fraction=inf", "--fraction=-inf"}) {
+    EXPECT_FALSE(run(p, {arg}, &err)) << arg;
+    EXPECT_NE(err.find("bad value"), std::string::npos) << arg;
+  }
+  EXPECT_FALSE(run(p, {"--nodes", "-5"}, &err));
+  EXPECT_EQ(b.nodes, 10u);
+  EXPECT_DOUBLE_EQ(b.fraction, 0.5);
+  EXPECT_TRUE(run(p, {"--nodes=18446744073709551615", "--fraction=-0.25"}, &err)) << err;
+  EXPECT_EQ(b.nodes, 18446744073709551615u);
+  EXPECT_DOUBLE_EQ(b.fraction, -0.25);
 }
 
 TEST(Flags, MissingValueFails) {

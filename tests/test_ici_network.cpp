@@ -273,11 +273,12 @@ TEST(IciNetwork, ChurnWithRepairKeepsMostBlocksAvailable) {
   Rig rig(24, 2, 2);
   for (int i = 0; i < 4; ++i) ASSERT_GT(rig.step(), 0u);
 
-  sim::ChurnConfig churn;
-  churn.churn_fraction = 0.3;
+  sim::FaultPlan churn;
+  churn.crash_fraction = 0.3;
   churn.mean_uptime_us = 5'000'000;
   churn.mean_downtime_us = 2'000'000;
-  rig.net->start_churn(churn);
+  churn.seed = 99;
+  rig.net->start_faults(churn);
   rig.net->simulator().run_until(rig.net->simulator().now() + 30'000'000);
 
   EXPECT_GT(rig.net->availability(), 0.9);

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "sim/churn.h"
+#include "sim/faults.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -271,9 +271,9 @@ TEST(Distance, Euclidean) {
   EXPECT_DOUBLE_EQ(distance({1, 1}, {1, 1}), 0.0);
 }
 
-// -- churn -------------------------------------------------------------------
+// -- crash sessions (the churn model) --------------------------------------
 
-TEST(Churn, TogglesSelectedNodes) {
+TEST(CrashSessions, TogglesSelectedNodes) {
   Simulator sim;
   NetworkConfig ncfg;
   Network net(sim, ncfg);
@@ -281,42 +281,42 @@ TEST(Churn, TogglesSelectedNodes) {
   std::vector<NodeId> ids;
   for (int i = 0; i < 50; ++i) ids.push_back(net.add_node(&r, {0, 0}));
 
-  ChurnConfig cfg;
-  cfg.churn_fraction = 0.5;
-  cfg.mean_uptime_us = 1000;
-  cfg.mean_downtime_us = 1000;
-  cfg.seed = 3;
-  ChurnModel churn(net, cfg);
+  FaultPlan plan;
+  plan.crash_fraction = 0.5;
+  plan.mean_uptime_us = 1000;
+  plan.mean_downtime_us = 1000;
+  plan.seed = 3;
+  FaultInjector faults(net, plan);
 
   std::unordered_set<NodeId> changed;
   int downs = 0, ups = 0;
-  churn.start(ids, [&](NodeId id, bool online) {
+  faults.start(ids, [&](NodeId id, bool online) {
     changed.insert(id);
     (online ? ups : downs)++;
   });
-  EXPECT_GT(churn.churned_nodes().size(), 10u);
-  EXPECT_LT(churn.churned_nodes().size(), 40u);
+  EXPECT_GT(faults.crash_set().size(), 10u);
+  EXPECT_LT(faults.crash_set().size(), 40u);
 
   sim.run_until(20'000);
   EXPECT_GT(downs, 0);
   EXPECT_GT(ups, 0);
-  // Only churned nodes ever change.
+  // Only nodes in the crash set ever change.
   for (NodeId id : changed) {
-    EXPECT_NE(std::find(churn.churned_nodes().begin(), churn.churned_nodes().end(), id),
-              churn.churned_nodes().end());
+    EXPECT_NE(std::find(faults.crash_set().begin(), faults.crash_set().end(), id),
+              faults.crash_set().end());
   }
 }
 
-TEST(Churn, ZeroFractionChurnsNobody) {
+TEST(CrashSessions, ZeroFractionCrashesNobody) {
   Simulator sim;
   Network net(sim, {});
   Recorder r;
   std::vector<NodeId> ids = {net.add_node(&r, {0, 0})};
-  ChurnConfig cfg;
-  cfg.churn_fraction = 0.0;
-  ChurnModel churn(net, cfg);
-  churn.start(ids, nullptr);
-  EXPECT_TRUE(churn.churned_nodes().empty());
+  FaultPlan plan;
+  plan.crash_fraction = 0.0;
+  FaultInjector faults(net, plan);
+  faults.start(ids, nullptr);
+  EXPECT_TRUE(faults.crash_set().empty());
 }
 
 }  // namespace

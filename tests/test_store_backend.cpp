@@ -298,7 +298,7 @@ TEST_F(DiskBackendTest, CompactionReclaimsDeadSpace) {
   const std::uint64_t before = backend.counters().segment_bytes;
   ASSERT_GT(backend.counters().segments, 1u);
 
-  // Kill most of the log; the dead fraction crosses compact_threshold.
+  // Kill most of the log; the dead fraction crosses the compaction threshold.
   for (std::size_t h = 1; h + 2 < chain.size(); ++h) {
     EXPECT_GT(backend.erase(chain.at_height(h).hash()), 0u);
   }

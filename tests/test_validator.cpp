@@ -94,12 +94,12 @@ TEST_F(ValidatorTest, ExactSpendPasses) {
 }
 
 TEST_F(ValidatorTest, CoinbaseWithinRewardPasses) {
-  const auto cb = Transaction::coinbase(bob.pub, validator.config().block_reward, 1);
+  const auto cb = Transaction::coinbase(bob.pub, kBlockReward, 1);
   EXPECT_TRUE(validator.check_tx_stateful(cb, utxo));
 }
 
 TEST_F(ValidatorTest, CoinbaseOverRewardFails) {
-  const auto cb = Transaction::coinbase(bob.pub, validator.config().block_reward + 1, 1);
+  const auto cb = Transaction::coinbase(bob.pub, kBlockReward + 1, 1);
   EXPECT_FALSE(validator.check_tx_stateful(cb, utxo));
 }
 

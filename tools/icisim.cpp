@@ -1,13 +1,14 @@
 // icisim — configurable ICIStrategy scenario runner.
 //
-//   $ ./build/tools/icisim --nodes 120 --clusters 6 --blocks 20 --churn
+//   $ ./build/tools/icisim --nodes 120 --clusters 6 --blocks 20 --fault-plan crash=0.3
 //   $ ./build/tools/icisim --erasure-data 8 --erasure-parity 2 --minutes 20
 //   $ ./build/tools/icisim --fault-plan seed=7,crash=0.3,drop=0.1
 //   $ ./build/tools/icisim --smoke          # tiny config, same output shape
 //   $ ./build/tools/icisim --help
 //
 // Builds a network from command-line parameters, disseminates a workload,
-// optionally runs churn, and prints a one-page report: storage, traffic,
+// optionally runs a fault plan (crash sessions are the churn model, see
+// docs/FAULTS.md), and prints a one-page report: storage, traffic,
 // commit latency, availability, and protocol counters. The scriptable front
 // door to everything the examples demonstrate one piece at a time. Every
 // run also writes BENCH_icisim.json (ici-bench-v1 schema, see
@@ -38,8 +39,6 @@ int main(int argc, char** argv) {
   std::uint64_t blocks = 15;
   std::uint64_t txs = 40;
   std::uint64_t minutes = 20;
-  double churn_fraction = 0.3;
-  bool churn = false;
   bool sync_join = false;
   std::uint64_t sync_range = 16;
   std::uint64_t sync_window = 2;
@@ -57,9 +56,7 @@ int main(int argc, char** argv) {
   flags.add_uint("blocks", &blocks, "blocks to disseminate");
   flags.add_uint("txs", &txs, "transactions per block");
   flags.add_string("clustering", &clustering, "kmeans | random | grid");
-  flags.add_bool("churn", &churn, "run churn after dissemination");
-  flags.add_double("churn-fraction", &churn_fraction, "fraction of nodes that churn");
-  flags.add_uint("minutes", &minutes, "simulated minutes of churn/faults");
+  flags.add_uint("minutes", &minutes, "simulated minutes of the --fault-plan run");
   flags.add_bool("sync-join", &sync_join,
                  "bootstrap one extra node via streaming bulk-sync at the end");
   flags.add_uint("sync-range", &sync_range, "bulk-sync blocks per range request");
@@ -67,7 +64,7 @@ int main(int argc, char** argv) {
   flags.add_uint("sync-peers", &sync_peers, "bulk-sync parallel pull peers");
   flags.add_double("sync-serve-rate", &sync_serve_rate,
                    "serve-side bulk-sync rate limit in bytes/s of sim time (0 = off)");
-  add_bench_flags(flags, &opts);  // --smoke/--threads/--cpu/--seed/--fault-plan
+  add_bench_flags(flags, &opts);  // --smoke/--threads/--seed/--fault-plan
 
   std::string error;
   if (!flags.parse(argc, argv, &error)) {
@@ -75,7 +72,7 @@ int main(int argc, char** argv) {
     std::cout << flags.usage();
     return error.empty() ? 0 : 2;
   }
-  apply_bench_options(opts, "icisim");
+  apply_bench_options(opts);
 
   sim::FaultPlan fault_plan;
   if (!sim::FaultPlan::parse(opts.fault_plan, &fault_plan, &error)) {
@@ -134,10 +131,10 @@ int main(int argc, char** argv) {
   report.set_config("cpu_backend", std::string(cpu::backend_name()));
   report.set_config("store_backend", opts.store);
   if (sync_serve_rate > 0.0) report.set_config("sync_serve_rate_bps", sync_serve_rate);
-  report.set_config("churn", churn);
-  if (churn) report.set_config("churn_fraction", churn_fraction);
-  if (faults) report.set_config("fault_plan", fault_plan.describe());
-  if (churn || faults) report.set_config("sim_minutes", minutes);
+  if (faults) {
+    report.set_config("fault_plan", fault_plan.describe());
+    report.set_config("sim_minutes", minutes);
+  }
   if (sync_join) {
     report.set_config("sync_range", sync_range);
     report.set_config("sync_window", sync_window);
@@ -156,18 +153,12 @@ int main(int argc, char** argv) {
     if (t > 0) commit_latency.add(static_cast<double>(t));
   }
 
-  // Faults (like churn) start after dissemination: their recurring
-  // crash/restart schedules keep the event queue populated forever, so the
-  // run advances in bounded windows from here on (never settle()).
+  // Faults start after dissemination: their recurring crash/restart
+  // schedules keep the event queue populated forever, so the run advances
+  // in bounded windows from here on (never settle()).
   RunningStat availability;
-  if (churn) {
-    sim::ChurnConfig ccfg;
-    ccfg.churn_fraction = churn_fraction;
-    ccfg.seed = seed;
-    network->start_churn(ccfg);
-  }
-  if (faults) network->start_faults(fault_plan);
-  if (churn || faults) {
+  if (faults) {
+    network->start_faults(fault_plan);
     for (std::uint64_t minute = 0; minute < minutes; ++minute) {
       network->run_for(60'000'000);
       availability.add(network->availability());
@@ -201,7 +192,7 @@ int main(int argc, char** argv) {
   results.row({"vs full replication", format_double(vs_full, 1) + "%"});
   results.row({"traffic total", format_bytes(static_cast<double>(traffic.bytes_sent))});
   results.row({"messages", std::to_string(traffic.msgs_sent)});
-  if (churn || faults) {
+  if (faults) {
     results.row({"availability (mean)", format_double(availability.mean(), 4)});
     results.row({"availability (min)", format_double(availability.min(), 4)});
   }
@@ -209,7 +200,7 @@ int main(int argc, char** argv) {
 
   // Optional join probe: bootstrap one fresh node through the streaming
   // bulk-sync protocol (docs/BOOTSTRAP.md) against the network as-is —
-  // after churn/faults, so the join sees whatever the run left standing.
+  // after the fault plan, so the join sees whatever the run left standing.
   if (sync_join) {
     sync::SyncConfig scfg;
     scfg.range_blocks = static_cast<std::uint32_t>(sync_range);
@@ -257,7 +248,7 @@ int main(int argc, char** argv) {
   row.set("vs_fullrep_pct", vs_full);
   row.set("traffic_bytes", traffic.bytes_sent);
   row.set("traffic_msgs", traffic.msgs_sent);
-  if (churn || faults) {
+  if (faults) {
     row.set("availability_mean", availability.mean());
     row.set("availability_min", availability.min());
   }
