@@ -1,18 +1,30 @@
 #include "cluster/assignment.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 namespace ici::cluster {
 
+Hash256 tagged_with_u32(std::string_view tag, const Hash256& hash, std::uint32_t value) {
+  std::array<std::uint8_t, 36> buf;
+  std::copy(hash.bytes().begin(), hash.bytes().end(), buf.begin());
+  for (int i = 0; i < 4; ++i) buf[32 + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  return Hash256::tagged(tag, ByteSpan(buf.data(), buf.size()));
+}
+
 double rendezvous_weight(const Hash256& block_hash, NodeId node) {
-  ByteWriter w;
-  w.raw(block_hash.span());
-  w.u32(node);
-  const Hash256 h = Hash256::tagged("ici/rendezvous", ByteSpan(w.bytes().data(), w.bytes().size()));
+  const Hash256 h = tagged_with_u32("ici/rendezvous", block_hash, node);
   // Map to (0, 1]: (low64+1) / 2^64.
   return (static_cast<double>(h.low64()) + 1.0) * 0x1.0p-64;
+}
+
+double RendezvousAssigner::score(const Hash256& block_hash, const NodeInfo& member) const {
+  const double u = rendezvous_weight(block_hash, member.id);
+  // Weighted rendezvous (Cache Array Routing Protocol form):
+  // score = -capacity / ln(u); higher capacity wins proportionally often.
+  return capacity_weighted_ ? -member.capacity / std::log(u) : -1.0 / std::log(u);
 }
 
 std::vector<NodeId> RendezvousAssigner::storers(const Hash256& block_hash, std::uint64_t height,
@@ -26,14 +38,7 @@ std::vector<NodeId> RendezvousAssigner::storers(const Hash256& block_hash, std::
   };
   std::vector<Scored> scored;
   scored.reserve(members.size());
-  for (const NodeInfo& m : members) {
-    const double u = rendezvous_weight(block_hash, m.id);
-    // Weighted rendezvous (Cache Array Routing Protocol form):
-    // score = -capacity / ln(u); higher capacity wins proportionally often.
-    const double score =
-        capacity_weighted_ ? -m.capacity / std::log(u) : -1.0 / std::log(u);
-    scored.push_back({score, m.id});
-  }
+  for (const NodeInfo& m : members) scored.push_back({score(block_hash, m), m.id});
   const std::size_t take = std::min(r, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(take),
                     scored.end(), [](const Scored& a, const Scored& b) {
@@ -44,6 +49,21 @@ std::vector<NodeId> RendezvousAssigner::storers(const Hash256& block_hash, std::
   out.reserve(take);
   for (std::size_t i = 0; i < take; ++i) out.push_back(scored[i].id);
   return out;
+}
+
+NodeId RendezvousAssigner::top(const Hash256& block_hash,
+                               const std::vector<NodeInfo>& members) const {
+  if (members.empty()) throw std::invalid_argument("RendezvousAssigner: empty cluster");
+  NodeId best_id = members.front().id;
+  double best = score(block_hash, members.front());
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    const double s = score(block_hash, members[i]);
+    if (s > best || (s == best && members[i].id < best_id)) {
+      best = s;
+      best_id = members[i].id;
+    }
+  }
+  return best_id;
 }
 
 std::vector<NodeId> RoundRobinAssigner::storers(const Hash256& block_hash, std::uint64_t height,

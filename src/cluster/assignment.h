@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/node_info.h"
@@ -45,7 +46,14 @@ class RendezvousAssigner final : public BlockAssigner {
     return capacity_weighted_ ? "rendezvous-weighted" : "rendezvous";
   }
 
+  /// The single top storer, storers(block_hash, h, members, 1).front(),
+  /// found by one max scan in the same (score desc, id asc) order with no
+  /// allocation. The UTXO-owner lookup on every commit delta uses it.
+  [[nodiscard]] NodeId top(const Hash256& block_hash, const std::vector<NodeInfo>& members) const;
+
  private:
+  [[nodiscard]] double score(const Hash256& block_hash, const NodeInfo& member) const;
+
   bool capacity_weighted_;
 };
 
@@ -60,5 +68,11 @@ class RoundRobinAssigner final : public BlockAssigner {
 /// Rendezvous weight of (block, node): uniform in (0,1] from a tagged hash.
 /// Exposed for tests of distribution properties.
 [[nodiscard]] double rendezvous_weight(const Hash256& block_hash, NodeId node);
+
+/// Hash256::tagged(tag, hash || u32_le(value)): the 36-byte placement key
+/// layout shared by rendezvous weights and UTXO owner keys, built on the
+/// stack (one SHA-256 compression for tags up to 18 bytes).
+[[nodiscard]] Hash256 tagged_with_u32(std::string_view tag, const Hash256& hash,
+                                      std::uint32_t value);
 
 }  // namespace ici::cluster

@@ -36,6 +36,15 @@ ClusterDirectory::ClusterDirectory(std::vector<NodeInfo> nodes, Clustering clust
   }
   if (covered != nodes_.size())
     throw std::invalid_argument("ClusterDirectory: clustering does not cover all nodes");
+  infos_.resize(clusters_.size());
+  for (std::size_t c = 0; c < clusters_.size(); ++c) refresh_infos(c);
+}
+
+void ClusterDirectory::refresh_infos(std::size_t cluster) {
+  std::vector<NodeInfo>& out = infos_[cluster];
+  out.clear();
+  out.reserve(clusters_[cluster].size());
+  for (NodeId id : clusters_[cluster]) out.push_back(info(id));
 }
 
 std::size_t ClusterDirectory::cluster_of(NodeId id) const {
@@ -57,12 +66,9 @@ std::vector<NodeInfo> ClusterDirectory::online_members(std::size_t cluster) cons
   return out;
 }
 
-std::vector<NodeInfo> ClusterDirectory::member_infos(std::size_t cluster) const {
-  const auto& ids = members(cluster);
-  std::vector<NodeInfo> out;
-  out.reserve(ids.size());
-  for (NodeId id : ids) out.push_back(info(id));
-  return out;
+const std::vector<NodeInfo>& ClusterDirectory::member_infos(std::size_t cluster) const {
+  if (cluster >= infos_.size()) throw std::out_of_range("member_infos: bad cluster");
+  return infos_[cluster];
 }
 
 const NodeInfo& ClusterDirectory::info(NodeId id) const {
@@ -106,18 +112,21 @@ void ClusterDirectory::add_member(NodeInfo info, std::size_t cluster) {
   clusters_[cluster].push_back(id);
   std::sort(clusters_[cluster].begin(), clusters_[cluster].end());
   nodes_.push_back(info);
+  refresh_infos(cluster);
 }
 
 void ClusterDirectory::remove_member(NodeId id) {
   if (id >= cluster_by_id_.size() || cluster_by_id_[id] == kAbsent)
     throw std::out_of_range("remove_member: unknown node");
-  auto& members = clusters_[cluster_by_id_[id]];
+  const std::size_t cluster = cluster_by_id_[id];
+  auto& members = clusters_[cluster];
   members.erase(std::remove(members.begin(), members.end(), id), members.end());
   cluster_by_id_[id] = kAbsent;
   online_by_id_[id] = 0;
   // nodes_ keeps the record for history; the id slots are tombstoned so
   // every per-id lookup throws, matching the map-erase semantics.
   index_by_id_[id] = kAbsent;
+  refresh_infos(cluster);
 }
 
 }  // namespace ici::cluster

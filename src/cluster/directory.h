@@ -33,8 +33,11 @@ class ClusterDirectory {
   [[nodiscard]] const std::vector<NodeId>& members(std::size_t cluster) const;
   /// Members currently marked online.
   [[nodiscard]] std::vector<NodeInfo> online_members(std::size_t cluster) const;
-  /// Full NodeInfo of every member (online or not) — the assignment input.
-  [[nodiscard]] std::vector<NodeInfo> member_infos(std::size_t cluster) const;
+  /// Full NodeInfo of every member (online or not), in members() order —
+  /// the assignment input. A per-cluster cache kept in step with the
+  /// membership by the constructor, add_member and remove_member, so
+  /// placement lookups copy nothing.
+  [[nodiscard]] const std::vector<NodeInfo>& member_infos(std::size_t cluster) const;
   [[nodiscard]] const NodeInfo& info(NodeId id) const;
 
   void set_online(NodeId id, bool online);
@@ -57,12 +60,15 @@ class ClusterDirectory {
   [[nodiscard]] std::uint32_t slot_of(NodeId id) const {
     return id < index_by_id_.size() ? index_by_id_[id] : kAbsent;
   }
+  /// Rebuilds member_infos(cluster) from members(cluster).
+  void refresh_infos(std::size_t cluster);
 
   std::vector<NodeInfo> nodes_;             // append-only record (kept past removal)
   std::vector<std::uint32_t> index_by_id_;  // id -> nodes_ index, kAbsent when removed
   std::vector<std::uint32_t> cluster_by_id_;  // id -> cluster, kAbsent when removed
   std::vector<std::uint8_t> online_by_id_;    // id -> liveness (valid while present)
   std::vector<std::vector<NodeId>> clusters_;
+  std::vector<std::vector<NodeInfo>> infos_;  // cluster -> member_infos cache
 };
 
 }  // namespace ici::cluster

@@ -11,11 +11,16 @@ Hash256 Hash256::of(ByteSpan data) { return Hash256(Sha256::hash(data)); }
 
 Hash256 Hash256::of2(ByteSpan data) { return Hash256(Sha256::hash2(data)); }
 
-Hash256 Hash256::tagged(const std::string& tag, ByteSpan data) {
-  Sha256 h;
+Hash256 Hash256::tagged(std::string_view tag, ByteSpan data) {
   const std::uint8_t len = static_cast<std::uint8_t>(tag.size());
-  h.update(ByteSpan(&len, 1));
-  h.update(tag);
+  const ByteSpan len_span(&len, 1);
+  const ByteSpan tag_span(reinterpret_cast<const std::uint8_t*>(tag.data()), tag.size());
+  if (1 + tag.size() + data.size() <= Sha256::kBlockMessageMax) {
+    return Hash256(Sha256::hash_block({len_span, tag_span, data}));
+  }
+  Sha256 h;
+  h.update(len_span);
+  h.update(tag_span);
   h.update(data);
   return Hash256(h.final());
 }

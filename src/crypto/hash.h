@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/bytes.h"
 #include "crypto/sha256.h"
@@ -24,7 +25,10 @@ class Hash256 {
   [[nodiscard]] static Hash256 of2(ByteSpan data);
   /// Domain-separated hash: SHA-256(tag_len || tag || data). Prevents
   /// cross-protocol collisions between e.g. rendezvous weights and txids.
-  [[nodiscard]] static Hash256 tagged(const std::string& tag, ByteSpan data);
+  /// Inputs that pad into one block (1 + tag + data <= 55 bytes, e.g. every
+  /// rendezvous weight) take Sha256::hash_block: one compression, no
+  /// streaming state.
+  [[nodiscard]] static Hash256 tagged(std::string_view tag, ByteSpan data);
   /// Parses a 64-char hex string.
   [[nodiscard]] static Hash256 from_hex(const std::string& hex);
 

@@ -84,17 +84,37 @@ void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* data,
 
 }  // namespace detail
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-             0x5be0cd19} {}
+namespace {
+
+constexpr std::array<std::uint32_t, 8> kIv = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+void compress_dispatched(std::uint32_t* state, const std::uint8_t* data, std::size_t nblocks) {
+  if (cpu::sha256_native()) {
+    detail::sha256_compress_shani(state, data, nblocks);
+  } else {
+    detail::sha256_compress_scalar(state, data, nblocks);
+  }
+}
+
+Digest256 digest_of(const std::array<std::uint32_t, 8>& state) {
+  Digest256 out;
+  for (int i = 0; i < 8; ++i) {
+    out[i * 4] = static_cast<std::uint8_t>(state[i] >> 24);
+    out[i * 4 + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    out[i * 4 + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    out[i * 4 + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+  return out;
+}
+
+}  // namespace
+
+Sha256::Sha256() : state_(kIv) {}
 
 void Sha256::compress_blocks(const std::uint8_t* data, std::size_t nblocks) {
   if (nblocks == 0) return;
-  if (cpu::sha256_native()) {
-    detail::sha256_compress_shani(state_.data(), data, nblocks);
-  } else {
-    detail::sha256_compress_scalar(state_.data(), data, nblocks);
-  }
+  compress_dispatched(state_.data(), data, nblocks);
 }
 
 Sha256& Sha256::update(ByteSpan data) {
@@ -147,20 +167,32 @@ Digest256 Sha256::final() {
   update(ByteSpan(len_be, 8));
   finalized_ = true;
 
-  Digest256 out;
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return out;
+  return digest_of(state_);
 }
 
 Digest256 Sha256::hash(ByteSpan data) {
   Sha256 h;
   h.update(data);
   return h.final();
+}
+
+Digest256 Sha256::hash_block(std::initializer_list<ByteSpan> parts) {
+  // Message, 0x80, zero fill, then the 64-bit big-endian bit length in the
+  // last 8 bytes: the whole padded message is this one block.
+  std::uint8_t block[64] = {};
+  std::size_t len = 0;
+  for (const ByteSpan part : parts) {
+    if (part.size() > kBlockMessageMax - len)
+      throw std::length_error("Sha256::hash_block: message over 55 bytes");
+    if (!part.empty()) std::memcpy(block + len, part.data(), part.size());
+    len += part.size();
+  }
+  block[len] = 0x80;
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(len) * 8;
+  for (int i = 0; i < 8; ++i) block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  std::array<std::uint32_t, 8> state = kIv;
+  compress_dispatched(state.data(), block, 1);
+  return digest_of(state);
 }
 
 Digest256 Sha256::hash2(ByteSpan data) {

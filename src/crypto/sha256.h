@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 
 #include "common/bytes.h"
 
@@ -26,6 +27,15 @@ class Sha256 {
   [[nodiscard]] static Digest256 hash(ByteSpan data);
   /// Double SHA-256 (Bitcoin-style object ids).
   [[nodiscard]] static Digest256 hash2(ByteSpan data);
+
+  /// Longest message that pads into a single 64-byte block.
+  static constexpr std::size_t kBlockMessageMax = 55;
+  /// SHA-256 of the concatenated `parts` when they total at most
+  /// kBlockMessageMax bytes: the message is padded on the stack and hashed
+  /// with one dispatched compression from the IV, with no streaming state.
+  /// Same digest as hash() of the concatenation; throws std::length_error
+  /// on longer input.
+  [[nodiscard]] static Digest256 hash_block(std::initializer_list<ByteSpan> parts);
 
  private:
   void compress_blocks(const std::uint8_t* data, std::size_t nblocks);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
+#include "common/thread_pool.h"
 #include "ici/bootstrap.h"
 #include "obs/trace.h"
 
@@ -39,7 +41,6 @@ IciNetwork::IciNetwork(IciNetworkConfig cfg) : Host(cfg), cfg_(std::move(cfg)) {
   directory_ = std::make_unique<cluster::ClusterDirectory>(infos_, std::move(clustering));
 
   assigner_ = std::make_unique<cluster::RendezvousAssigner>(kCapacityWeightedAssignment);
-  shard_owner_assigner_ = std::make_unique<cluster::RendezvousAssigner>(false);
   if (cfg_.ici.erasure_data > 0) {
     codec_ = std::make_unique<erasure::ReedSolomon>(cfg_.ici.erasure_data,
                                                     cfg_.ici.erasure_parity);
@@ -105,18 +106,17 @@ std::vector<NodeId> IciNetwork::fetch_candidates(const Hash256& hash, std::uint6
 namespace {
 
 Hash256 utxo_owner_key(const OutPoint& op) {
-  ByteWriter w(36);
-  w.raw(op.txid.span());
-  w.u32(op.index);
-  return Hash256::tagged("ici/utxo", ByteSpan(w.bytes().data(), w.bytes().size()));
+  return cluster::tagged_with_u32("ici/utxo", op.txid, op.index);
 }
+
+// Rendezvous hashes per parallel_for chunk of the genesis owner table
+// (~1 ms of work).
+constexpr std::size_t kGenesisHashesPerChunk = 16'384;
 
 }  // namespace
 
 NodeId IciNetwork::utxo_owner(const OutPoint& op, std::size_t cluster) const {
-  return shard_owner_assigner_
-      ->storers(utxo_owner_key(op), 0, directory_->member_infos(cluster), 1)
-      .front();
+  return shard_owner_assigner_.top(utxo_owner_key(op), directory_->member_infos(cluster));
 }
 
 void IciNetwork::init_with_genesis(const Block& genesis) {
@@ -129,18 +129,35 @@ void IciNetwork::init_with_genesis(const Block& genesis) {
     genesis_shards = codec_->encode(ByteSpan(payload.data(), payload.size()));
   }
 
-  for (std::size_t c = 0; c < directory_->cluster_count(); ++c) {
-    // One rendezvous pass per (cluster, outpoint) instead of one per
-    // (node, outpoint): every member then seeds via map lookups.
-    const std::vector<cluster::NodeInfo> members = directory_->member_infos(c);
-    IciNode::GenesisOwnerMap owners;
-    for (const Transaction& tx : genesis.txs()) {
-      for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
-        const OutPoint op{tx.txid(), i};
-        owners.emplace(
-            op, shard_owner_assigner_->storers(utxo_owner_key(op), 0, members, 1).front());
-      }
+  // Owner keys once per outpoint, in genesis order (tx order, then output
+  // index) — the order seed_genesis walks.
+  std::vector<Hash256> keys;
+  for (const Transaction& tx : genesis.txs()) {
+    for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
+      keys.push_back(utxo_owner_key(OutPoint{tx.txid(), i}));
     }
+  }
+  const std::size_t outs = keys.size();
+  const std::size_t cluster_count = directory_->cluster_count();
+
+  // Owner table, cell c * outs + j = owner of outpoint j in cluster c: one
+  // rendezvous pass per (cluster, outpoint), tiled over both so a fleet of
+  // a few clusters still spreads over every lane. Each cell is written by
+  // exactly one chunk; keys and membership are read-only meanwhile.
+  const std::size_t mean_members =
+      std::max<std::size_t>(1, directory_->node_count() / cluster_count);
+  const std::size_t grain = std::max<std::size_t>(1, kGenesisHashesPerChunk / mean_members);
+  std::vector<NodeId> owners(cluster_count * outs);
+  ThreadPool::global().parallel_for(0, owners.size(), grain, [&](std::size_t b, std::size_t e) {
+    for (std::size_t cell = b; cell < e; ++cell) {
+      owners[cell] =
+          shard_owner_assigner_.top(keys[cell % outs], directory_->member_infos(cell / outs));
+    }
+  });
+
+  // Members seed serially, cluster by cluster, from their cluster's row.
+  for (std::size_t c = 0; c < cluster_count; ++c) {
+    const std::span<const NodeId> table(owners.data() + c * outs, outs);
     if (coded()) {
       const std::vector<NodeId> holders = shard_holders(hash, 0, c);
       std::unordered_map<NodeId, const erasure::Shard*> shard_of;
@@ -149,14 +166,14 @@ void IciNetwork::init_with_genesis(const Block& genesis) {
       }
       for (NodeId id : directory_->members(c)) {
         const auto it = shard_of.find(id);
-        nodes_[id].seed_genesis(genesis, /*is_storer=*/false,
-                                 it == shard_of.end() ? nullptr : it->second, &owners);
+        nodes_[id].seed_genesis(genesis, table, /*is_storer=*/false,
+                                 it == shard_of.end() ? nullptr : it->second);
       }
     } else {
       const std::vector<NodeId> storers = storers_of(hash, 0, c, /*online_only=*/false);
       for (NodeId id : directory_->members(c)) {
         const bool is_storer = std::find(storers.begin(), storers.end(), id) != storers.end();
-        nodes_[id].seed_genesis(genesis, is_storer, nullptr, &owners);
+        nodes_[id].seed_genesis(genesis, table, is_storer);
       }
     }
   }

@@ -170,7 +170,7 @@ class IciNetwork final : public host::Host {
   std::vector<cluster::NodeInfo> infos_;
   std::unique_ptr<cluster::ClusterDirectory> directory_;
   std::unique_ptr<cluster::BlockAssigner> assigner_;
-  std::unique_ptr<cluster::BlockAssigner> shard_owner_assigner_;  // unweighted, r=1
+  cluster::RendezvousAssigner shard_owner_assigner_{false};  // unweighted, r=1
   ObjectArena<IciNode> nodes_;
   std::unique_ptr<cluster::RepairDaemon> repair_daemon_;
   std::unique_ptr<erasure::ReedSolomon> codec_;

@@ -65,8 +65,12 @@ IciNode::IciNode(IciNetwork& ctx, NodeId id)
   shard_store_.bind_tally(&ctx.fleet_tally(), id);
 }
 
-void IciNode::seed_genesis(const Block& genesis, bool is_storer,
-                           const erasure::Shard* shard, const GenesisOwnerMap* owners) {
+void IciNode::seed_genesis(const Block& genesis, std::span<const NodeId> owners,
+                           bool is_storer, const erasure::Shard* shard) {
+  std::size_t outputs = 0;
+  for (const Transaction& tx : genesis.txs()) outputs += tx.outputs().size();
+  if (owners.size() != outputs)
+    throw std::invalid_argument("seed_genesis: owner table does not match genesis outputs");
   const Hash256 h = genesis.hash();
   if (is_storer) {
     store_.put(HashedBlock(genesis, h));
@@ -74,18 +78,15 @@ void IciNode::seed_genesis(const Block& genesis, bool is_storer,
     store_.put(StoredBlock::header_only(genesis.header(), h));
   }
   if (shard != nullptr) shard_store_.put(h, *shard);
-  const std::size_t my_cluster = ctx_.directory().cluster_of(id_);
   auto& tally = ctx_.fleet_tally().slot(id_);
+  std::size_t j = 0;
   for (const Transaction& tx : genesis.txs()) {
     const Hash256& id = tx.txid();
-    for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
+    for (std::uint32_t i = 0; i < tx.outputs().size(); ++i, ++j) {
+      if (owners[j] != id_) continue;
       const OutPoint op{id, i};
-      const NodeId owner =
-          owners != nullptr ? owners->at(op) : ctx_.utxo_owner(op, my_cluster);
-      if (owner == id_) {
-        if (shard_.emplace(op, tx.outputs()[i]).second) ++tally.utxo_entries;
-        if (i == 0) tx_index_[id] = {h, 0};
-      }
+      if (shard_.emplace(op, tx.outputs()[i]).second) ++tally.utxo_entries;
+      if (i == 0) tx_index_[id] = {h, 0};
     }
   }
 }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -101,19 +102,23 @@ class alignas(64) IciNode final : public sim::INode, public sync::Peer<IciNode> 
   using UtxoShard = std::unordered_map<OutPoint, TxOutput, OutPointHasher>;
   [[nodiscard]] const UtxoShard& utxo_shard() const { return shard_; }
 
-  /// Precomputed outpoint→owner table for one cluster's genesis seeding.
-  /// Computing it once per cluster (in IciNetwork::init_with_genesis)
-  /// replaces a rendezvous pass per (node, outpoint) pair — the difference
-  /// between ~51M and ~1e9 hashes when seeding a 100k-node fleet.
-  using GenesisOwnerMap = std::unordered_map<OutPoint, cluster::NodeId, OutPointHasher>;
+  /// txid → (block hash, height) for txs whose first output this node owns.
+  struct TxLocation {
+    Hash256 block_hash;
+    std::uint64_t height = 0;
+  };
+  using TxIndex = std::unordered_map<Hash256, TxLocation, Hash256Hasher>;
+  [[nodiscard]] const TxIndex& tx_index() const { return tx_index_; }
 
   /// Installs genesis state directly (no messages): header, body if this
   /// node is a genesis storer (or `shard` in coded mode), and the owned
-  /// slice of genesis outputs. With `owners` the ownership lookup is a map
-  /// probe; without it the node falls back to per-outpoint rendezvous.
-  void seed_genesis(const Block& genesis, bool is_storer,
-                    const erasure::Shard* shard = nullptr,
-                    const GenesisOwnerMap* owners = nullptr);
+  /// slice of genesis outputs. `owners` is this cluster's genesis owner
+  /// table — the UTXO owner of every genesis outpoint in genesis order (tx
+  /// order, then output index) — which IciNetwork::init_with_genesis fills
+  /// once per cluster, so seeding a member is a table walk, not a
+  /// rendezvous pass per outpoint.
+  void seed_genesis(const Block& genesis, std::span<const cluster::NodeId> owners,
+                    bool is_storer, const erasure::Shard* shard = nullptr);
 
   [[nodiscard]] ShardStore& shards() { return shard_store_; }
   [[nodiscard]] const ShardStore& shards() const { return shard_store_; }
@@ -315,12 +320,7 @@ class alignas(64) IciNode final : public sim::INode, public sync::Peer<IciNode> 
   std::unordered_map<std::uint64_t, PendingCodedFetch> coded_fetches_;
   std::unordered_map<std::uint64_t, PendingProof> proofs_;
   std::unordered_map<std::uint64_t, PendingLocate> locates_;
-  /// txid → (block hash, height) for txs whose first output this node owns.
-  struct TxLocation {
-    Hash256 block_hash;
-    std::uint64_t height = 0;
-  };
-  std::unordered_map<Hash256, TxLocation, Hash256Hasher> tx_index_;
+  TxIndex tx_index_;
   ShardStore shard_store_;
   std::uint64_t next_request_id_ = 1;
 };

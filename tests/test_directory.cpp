@@ -109,6 +109,33 @@ TEST(Directory, RemoveMemberLeaves) {
   EXPECT_THROW((void)dir.cluster_of(victim), std::out_of_range);
 }
 
+TEST(Directory, MemberInfosTrackMembership) {
+  ClusterDirectory dir = make_directory(12, 3);
+  const auto expect_fresh = [&] {
+    for (std::size_t c = 0; c < dir.cluster_count(); ++c) {
+      const std::vector<NodeInfo>& cached = dir.member_infos(c);
+      ASSERT_EQ(cached.size(), dir.members(c).size()) << "cluster " << c;
+      for (std::size_t i = 0; i < cached.size(); ++i) {
+        const NodeInfo& fresh = dir.info(dir.members(c)[i]);
+        EXPECT_EQ(cached[i].id, fresh.id);
+        EXPECT_EQ(cached[i].coord.x, fresh.coord.x);
+        EXPECT_EQ(cached[i].coord.y, fresh.coord.y);
+        EXPECT_EQ(cached[i].capacity, fresh.capacity);
+      }
+    }
+  };
+  expect_fresh();
+  dir.add_member(NodeInfo{100, {3, 4}, 2.0}, 1);
+  dir.add_member(NodeInfo{50, {5, 6}, 0.5}, 1);  // sorts ahead of 100
+  expect_fresh();
+  dir.remove_member(dir.members(0).front());
+  dir.remove_member(100);
+  expect_fresh();
+  dir.set_online(dir.members(2).front(), false);  // liveness is not membership
+  expect_fresh();
+  EXPECT_THROW((void)dir.member_infos(99), std::out_of_range);
+}
+
 TEST(Directory, UnknownIdsThrow) {
   ClusterDirectory dir = make_directory();
   EXPECT_THROW((void)dir.cluster_of(999), std::out_of_range);

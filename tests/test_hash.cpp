@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+
+#include "cluster/assignment.h"
+#include "ici/network.h"
 
 namespace ici {
 namespace {
@@ -68,6 +72,60 @@ TEST(Hash256, Low64MatchesFirstEightBytes) {
   std::uint64_t manual = 0;
   for (int i = 0; i < 8; ++i) manual |= static_cast<std::uint64_t>(h.bytes()[i]) << (8 * i);
   EXPECT_EQ(h.low64(), manual);
+}
+
+// Inputs of up to 55 bytes take the one-block path; longer ones stream.
+// Both must equal a hand-driven streaming hash of len || tag || data, on
+// either side of the boundary and under both CPU tiers (the backends lanes
+// rerun this suite with ICI_CPU=scalar and =native).
+TEST(Hash256, TaggedFastPathMatchesStreaming) {
+  Bytes data(80);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 37 + 1);
+  for (std::size_t tag_len = 0; tag_len <= 20; ++tag_len) {
+    const std::string tag(tag_len, 't');
+    for (std::size_t data_len = 0; data_len <= data.size(); ++data_len) {
+      const ByteSpan span(data.data(), data_len);
+      Sha256 streaming;
+      const std::uint8_t len = static_cast<std::uint8_t>(tag_len);
+      streaming.update(ByteSpan(&len, 1));
+      streaming.update(tag);
+      streaming.update(span);
+      EXPECT_EQ(Hash256::tagged(tag, span), Hash256(streaming.final()))
+          << "tag " << tag_len << " data " << data_len;
+    }
+  }
+}
+
+TEST(Hash256, OneBlockHashMatchesStreaming) {
+  Bytes data(Sha256::kBlockMessageMax);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(255 - i);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const std::size_t half = n / 2;
+    EXPECT_EQ(Sha256::hash_block({ByteSpan(data.data(), half),
+                                  ByteSpan(data.data() + half, n - half)}),
+              Sha256::hash(ByteSpan(data.data(), n)))
+        << n;
+  }
+  const Bytes too_long(Sha256::kBlockMessageMax + 1);
+  EXPECT_THROW((void)Sha256::hash_block({ByteSpan(too_long.data(), too_long.size())}),
+               std::length_error);
+}
+
+// Placement values recorded before the one-block path existed: a change to
+// the key layout or the hash would move every block and UTXO in the fleet.
+TEST(Hash256, PlacementValuesArePinned) {
+  const std::string seed = "pin";
+  const Hash256 key =
+      Hash256::of(ByteSpan(reinterpret_cast<const std::uint8_t*>(seed.data()), seed.size()));
+  EXPECT_EQ(cluster::rendezvous_weight(key, 7), 0x1.9aba5a952c6f7p-5);
+
+  core::IciNetworkConfig ncfg;
+  ncfg.node_count = 24;
+  ncfg.ici.cluster_count = 3;
+  const core::IciNetwork net(ncfg);
+  EXPECT_EQ(net.utxo_owner(OutPoint{key, 0}, 0), 23u);
+  EXPECT_EQ(net.utxo_owner(OutPoint{key, 2}, 1), 15u);
+  EXPECT_EQ(net.utxo_owner(OutPoint{key, 3}, 2), 0u);
 }
 
 }  // namespace

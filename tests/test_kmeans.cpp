@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace ici::cluster {
 namespace {
@@ -93,6 +94,36 @@ TEST(KMeans, ConvergesBeforeMaxIterations) {
   const auto pts = blob(rng, 0, 0, 50, 2.0);
   const KMeansResult r = kmeans(pts, 2, {.max_iterations = 1000, .seed = 1});
   EXPECT_LT(r.iterations, 1000u);
+}
+
+// The assign step runs on the worker pool in fixed 256-point chunks; the
+// result must not depend on how many lanes claim them, and must equal the
+// serial loop it replaced (iterations and inertia recorded from it).
+TEST(KMeans, BitIdenticalAcrossPoolThreads) {
+  Rng rng(21);
+  std::vector<sim::Coord> pts;
+  for (int b = 0; b < 10; ++b) {
+    const auto part = blob(rng, rng.uniform01() * 100, rng.uniform01() * 100, 500, 8.0);
+    pts.insert(pts.end(), part.begin(), part.end());
+  }
+  std::vector<KMeansResult> runs;
+  for (const std::size_t lanes : {1, 2, 8}) {
+    ThreadPool::set_global_threads(lanes);
+    runs.push_back(kmeans(pts, 250, {.max_iterations = 100, .seed = 3}));
+  }
+  ThreadPool::set_global_threads(1);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].assignment, runs[0].assignment);
+    ASSERT_EQ(runs[i].centroids.size(), runs[0].centroids.size());
+    for (std::size_t c = 0; c < runs[0].centroids.size(); ++c) {
+      EXPECT_EQ(runs[i].centroids[c].x, runs[0].centroids[c].x);
+      EXPECT_EQ(runs[i].centroids[c].y, runs[0].centroids[c].y);
+    }
+    EXPECT_EQ(runs[i].iterations, runs[0].iterations);
+    EXPECT_EQ(runs[i].inertia, runs[0].inertia);
+  }
+  EXPECT_EQ(runs[0].iterations, 15u);
+  EXPECT_EQ(runs[0].inertia, 0x1.3b7203cca42d3p+14);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // The determinism contract (docs/THREADING.md): the worker-pool size changes
 // wall clock only. Every parallel hot path — RS encode/reconstruct, batch
 // Merkle hashing, collaborative slice verification inside a full network
-// run — must produce byte-identical results at 1, 2, and 8 lanes. The
-// full-run fingerprints cover ICI and both baselines (full replication and
-// RapidChain), with and without a message-fault plan installed (the
-// test_threads_determinism_faults CTest variant sets ICI_FAULT_PLAN).
+// run, k-means and genesis UTXO placement — must produce byte-identical
+// results at 1, 2, and 8 lanes. The full-run fingerprints cover ICI and
+// both baselines (full replication and RapidChain), with and without a
+// message-fault plan installed (the test_threads_determinism_faults CTest
+// variant sets ICI_FAULT_PLAN).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baseline/fullrep.h"
@@ -95,6 +98,68 @@ TEST_F(ThreadsDeterminism, MerkleRootAboveParallelThreshold) {
     roots.push_back(MerkleTree::compute_root(leaves));
   }
   for (std::size_t i = 1; i < roots.size(); ++i) EXPECT_EQ(roots[i], roots[0]);
+}
+
+/// Every node's genesis UTXO shard and tx index on a fleet of 40 k-means
+/// clusters seeded with a 1024-output genesis: covers the parallel k-means
+/// assign step and the genesis owner table, whose (cluster, outpoint) cells
+/// span many pool chunks here.
+struct GenesisSeeding {
+  std::vector<std::vector<std::tuple<OutPoint, Amount, PublicKey>>> shards;  // by node, sorted
+  std::vector<std::vector<std::tuple<Hash256, Hash256, std::uint64_t>>> tx_index;  // by node
+  std::vector<std::vector<cluster::NodeId>> clusters;
+};
+
+GenesisSeeding seed_genesis_fleet() {
+  core::IciNetworkConfig ncfg;
+  ncfg.node_count = 400;
+  ncfg.ici.cluster_count = 40;
+  core::IciNetwork net(ncfg);
+  WorkloadConfig wcfg;
+  wcfg.wallet_count = 128;
+  wcfg.genesis_outputs_per_wallet = 8;
+  const Block genesis = WorkloadGenerator(wcfg).make_genesis();
+  net.init_with_genesis(genesis);
+
+  GenesisSeeding out;
+  for (std::size_t c = 0; c < net.directory().cluster_count(); ++c) {
+    out.clusters.push_back(net.directory().members(c));
+  }
+  std::size_t owned = 0;
+  for (cluster::NodeId id = 0; id < ncfg.node_count; ++id) {
+    const core::IciNode& node = net.node(id);
+    const std::size_t c = net.directory().cluster_of(id);
+    auto& shard = out.shards.emplace_back();
+    for (const auto& [op, output] : node.utxo_shard()) {
+      // The owner table agrees with the per-outpoint lookup live nodes use.
+      EXPECT_EQ(net.utxo_owner(op, c), id);
+      shard.emplace_back(op, output.value, output.recipient);
+    }
+    std::sort(shard.begin(), shard.end());
+    owned += shard.size();
+    auto& index = out.tx_index.emplace_back();
+    for (const auto& [txid, loc] : node.tx_index()) {
+      index.emplace_back(txid, loc.block_hash, loc.height);
+    }
+    std::sort(index.begin(), index.end());
+  }
+  // Each cluster holds the whole genesis UTXO set exactly once.
+  EXPECT_EQ(owned, net.directory().cluster_count() * wcfg.wallet_count *
+                       wcfg.genesis_outputs_per_wallet);
+  return out;
+}
+
+TEST_F(ThreadsDeterminism, GenesisSeedingIsBitIdentical) {
+  std::vector<GenesisSeeding> runs;
+  for (const std::size_t lanes : kLaneCounts) {
+    ThreadPool::set_global_threads(lanes);
+    runs.push_back(seed_genesis_fleet());
+  }
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].clusters, runs[0].clusters) << kLaneCounts[i] << " threads";
+    EXPECT_EQ(runs[i].shards, runs[0].shards) << kLaneCounts[i] << " threads";
+    EXPECT_EQ(runs[i].tx_index, runs[0].tx_index) << kLaneCounts[i] << " threads";
+  }
 }
 
 /// Everything observable from one full dissemination run that could drift
