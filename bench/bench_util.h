@@ -29,39 +29,30 @@ inline void print_experiment_header(const std::string& id, const std::string& ti
   std::cout << "\n=== " << id << ": " << title << " ===\n";
 }
 
-/// The shared command-line contract now lives in common/flags.h
+/// The shared command-line contract lives in common/flags.h
 /// (ici::BenchOptions / add_bench_flags): every experiment binary and
-/// tools/icisim register --smoke/--threads/--seed/--fault-plan from
-/// one place, so a new shared flag registers once.
+/// tools/icisim register --smoke/--threads plus the BenchFlags groups they
+/// read, so a flag a binary would ignore is rejected as unknown.
 using ici::BenchOptions;
 
-/// The store backend the bench actually constructed, stamped into the
-/// artifact as config.store_backend (read by record_thread_config). Set by
-/// store_config_from, NOT by flag parsing: a bench that ignores --store
-/// truthfully stamps "mem", so an artifact claiming "disk" always carries
-/// the store.* instrumentation the schema checker demands of disk captures.
-inline std::string& current_store_backend() {
-  static std::string backend = "mem";
-  return backend;
-}
-
-/// Translates the shared --store/--io-write-us/--io-read-us flags into the
-/// StoreConfig embedded in facade configs and core::StrategyConfig, and
-/// records the choice for the artifact's config.store_backend stamp.
+/// Translates the shared --store/--io-write-us/--io-read-us flags (the
+/// kStoreFlags group) into the StoreConfig embedded in facade configs and
+/// core::StrategyConfig.
 inline StoreConfig store_config_from(const BenchOptions& opts) {
   StoreConfig cfg;
   cfg.backend = opts.store;
   cfg.io_write_us = opts.io_write_us;
   cfg.io_read_us = opts.io_read_us;
-  current_store_backend() = opts.store;
   return cfg;
 }
 
-inline BenchOptions parse_bench_options(int argc, char** argv, std::string_view name) {
+inline BenchOptions parse_bench_options(int argc, char** argv, std::string_view name,
+                                        unsigned groups = 0) {
   return parse_bench_options_or_exit(
       argc, argv, std::string(name),
       "paper experiment; writes BENCH_" + std::string(name) +
-          ".json (schema ici-bench-v1) into the current directory or $ICI_BENCH_DIR");
+          ".json (schema ici-bench-v1) into the current directory or $ICI_BENCH_DIR",
+      groups);
 }
 
 /// Attaches summed storage-backend tallies to the artifact as the store.*
@@ -90,13 +81,14 @@ inline void add_store_counters(obs::BenchReport& report, const StoreCounters& t)
   report.add_counter("store.truncated_tail_bytes", t.truncated_tail_bytes);
 }
 
-/// Stamps the pool size and CPU dispatch tier every ici-bench-v1 artifact
-/// must carry (the schema checker rejects files without them); call once
-/// after building the report.
-inline void record_thread_config(obs::BenchReport& report) {
+/// Stamps the pool size, CPU dispatch tier and store backend every
+/// ici-bench-v1 artifact must carry (the schema checker rejects files
+/// without them). A binary without the kStoreFlags group keeps the default
+/// "mem" in opts.store, which is the backend it built.
+inline void record_thread_config(obs::BenchReport& report, const BenchOptions& opts) {
   report.set_config("threads", ThreadPool::global().thread_count());
   report.set_config("cpu_backend", std::string(cpu::backend_name()));
-  report.set_config("store_backend", current_store_backend());
+  report.set_config("store_backend", opts.store);
 }
 
 /// Stamps process memory counters: sim.rss_bytes / sim.peak_rss_bytes always
@@ -119,8 +111,9 @@ inline void record_memory_metrics(obs::BenchReport& report, std::size_t sim_node
 /// after the tables already printed, so write failures exit 1 cleanly.
 /// Sim-driven benches pass their headline node count so the artifact carries
 /// the per-node memory footprint (sim.bytes_per_node).
-inline void finish_report(obs::BenchReport& report, std::size_t sim_nodes = 0) {
-  record_thread_config(report);
+inline void finish_report(obs::BenchReport& report, const BenchOptions& opts,
+                          std::size_t sim_nodes = 0) {
+  record_thread_config(report, opts);
   record_memory_metrics(report, sim_nodes);
   report.capture_spans();
   try {

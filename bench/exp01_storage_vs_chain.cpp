@@ -16,7 +16,7 @@ using namespace ici;
 using namespace ici::bench;
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_bench_options(argc, argv, "exp01_storage_vs_chain");
+  const BenchOptions opts = parse_bench_options(argc, argv, "exp01_storage_vs_chain", kStoreFlags);
   const std::size_t kNodes = opts.smoke ? 40 : 240;
   const std::size_t kIciClusters = opts.smoke ? 2 : 12;  // m = 20
   const std::size_t kRcCommittees = opts.smoke ? 2 : 5;  // shard = D/k_rc
@@ -90,6 +90,6 @@ int main(int argc, char** argv) {
                "Note: ICI nodes keep ALL headers (every row includes them), so the printed "
                "ratio sits a few points above 25%; on body bytes alone it is exactly "
                "k_rc/m = 25% (see E08).\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

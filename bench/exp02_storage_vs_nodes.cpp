@@ -60,6 +60,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nExpected shape: full-rep flat at D; rapidchain falls ~1/N (committee count "
                "grows); ici flat at ~D/m regardless of N — storage scales out.\n";
-  finish_report(report, sizes.back());
+  finish_report(report, opts, sizes.back());
   return 0;
 }

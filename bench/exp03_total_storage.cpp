@@ -59,6 +59,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nExpected shape: full-rep grows N·D; ici grows only with the number of "
                "clusters (N/m)·D — the gap widens linearly with N.\n";
-  finish_report(report, sizes.back());
+  finish_report(report, opts, sizes.back());
   return 0;
 }

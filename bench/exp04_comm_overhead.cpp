@@ -124,6 +124,6 @@ int main(int argc, char** argv) {
                "≈(3.75+r) per cluster (N/m clusters) — several times less, with the gap "
                "growing in cluster size m. RapidChain only stores 1/k of blocks per "
                "committee but floods chunks with redundancy d within it.\n";
-  finish_report(report, sizes.back());
+  finish_report(report, opts, sizes.back());
   return 0;
 }

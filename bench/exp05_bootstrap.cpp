@@ -17,7 +17,7 @@ using namespace ici;
 using namespace ici::bench;
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_bench_options(argc, argv, "exp05_bootstrap");
+  const BenchOptions opts = parse_bench_options(argc, argv, "exp05_bootstrap", kStoreFlags);
   const std::size_t kNodes = opts.smoke ? 40 : 120;
   const std::size_t kIciClusters = opts.smoke ? 2 : 6;  // m = 20
   const std::size_t kRcCommittees = opts.smoke ? 2 : 5;
@@ -95,6 +95,6 @@ int main(int argc, char** argv) {
                "(D/k); ici only headers + ~1/m of bodies — the cheapest join, and the gap "
                "grows with chain length. All rows are protocol-measured (bulk-sync ranges "
                "over multiple peers), not closed-form.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

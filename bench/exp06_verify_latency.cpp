@@ -61,6 +61,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: per-member verification work falls as 1/m, but vote fan-in "
                "and head uplink serialization grow with m — latency is roughly flat-to-"
                "U-shaped across m, dominated by one slice round-trip.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

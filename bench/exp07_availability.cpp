@@ -80,6 +80,6 @@ int main(int argc, char** argv) {
                "offline, but the network-wide copy-per-cluster redundancy keeps blocks "
                "servable (cross-cluster fallback turns local outages into latency); r≥2 "
                "with repair holds ≈1.0 locally at proportionally higher storage.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

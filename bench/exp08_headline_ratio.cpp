@@ -56,6 +56,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nThe m = 16 row (= 4 x k_rc) is the paper's headline configuration: "
                "ICIStrategy needs ~25% of RapidChain's per-node storage.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

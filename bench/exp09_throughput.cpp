@@ -52,6 +52,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: small k (huge clusters) suffers slice fan-out inside each "
                "cluster; very large k pays proposer uplink serialization (k full bodies). "
                "Throughput peaks at a moderate cluster count.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

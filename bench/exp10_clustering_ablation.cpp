@@ -66,6 +66,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: kmeans yields the tightest clusters and the lowest commit "
                "latency; random is the upper bound on intra-cluster distance; grid sits "
                "between (cells approximate locality but ignore density).\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

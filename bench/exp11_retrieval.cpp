@@ -13,7 +13,7 @@ using namespace ici;
 using namespace ici::bench;
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_bench_options(argc, argv, "exp11_retrieval");
+  const BenchOptions opts = parse_bench_options(argc, argv, "exp11_retrieval", kStoreFlags);
   const std::size_t kNodes = opts.smoke ? 40 : 120;
   const std::size_t kBlocks = opts.smoke ? 30 : 120;
   constexpr std::size_t kTxs = 30;
@@ -68,6 +68,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: local-hit probability ~r/m falls with m, but the remote "
                "fetch stays ~one intra-cluster RTT + body transfer. Full replication always "
                "hits locally (0 ms) at m-times the storage.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

@@ -124,6 +124,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: rendezvous CV near round-robin's (both balanced), but "
                "round-robin reshuffles nearly everything on departure while rendezvous "
                "moves ~0% of unaffected blocks; weighted tracks capacity within noise.\n";
-  finish_report(report);
+  finish_report(report, opts);
   return 0;
 }

@@ -120,6 +120,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: coded (4,2) matches r=3's two-failure tolerance at half "
                "the storage; (8,2) undercuts even r=2 while tolerating two holders down. "
                "The cost is reconstruction reads (d shard fetches) instead of one copy.\n";
-  finish_report(report, mc.nodes);
+  finish_report(report, opts, mc.nodes);
   return 0;
 }

@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: 100% commit rate while the byzantine fraction stays below "
                "the 1/3 quorum margin; a cliff to 0% once rejectors can veto the 2/3 "
                "approval threshold in any cluster.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
                "nodes change cluster and little data moves; random re-clustering moves "
                "most members and migrates a multiple of the ledger. Rendezvous assignment "
                "limits migration to blocks whose cluster membership actually changed.\n";
-  finish_report(bench_report, kNodes);
+  finish_report(bench_report, opts, kNodes);
   return 0;
 }

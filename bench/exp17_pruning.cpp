@@ -81,6 +81,6 @@ int main(int argc, char** argv) {
                "ICIStrategy serves 100% of history from every cluster at a comparable "
                "per-node footprint (the pruned node's snapshot also grows with the UTXO "
                "set).\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

@@ -93,6 +93,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: throughput grows with depth while the proposer uplink and "
                "head fan-out have slack, then saturates — the verification rounds of "
                "consecutive blocks overlap almost entirely.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

@@ -241,6 +241,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: events/sec roughly flat in N (O(1) amortized schedule/pop, "
                "no per-event heap traffic); peak pending grows with the fan-out, and inline "
                "misses stay 0 on the network path.\n";
-  finish_report(report, sizes.back());
+  finish_report(report, opts, sizes.back());
   return 0;
 }

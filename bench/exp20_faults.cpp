@@ -33,7 +33,8 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_bench_options(argc, argv, "exp20_faults");
+  const BenchOptions opts =
+      parse_bench_options(argc, argv, "exp20_faults", kSeedFlags | kFaultFlags);
   const std::size_t kNodes = opts.smoke ? 32 : 96;
   const std::size_t kIciClusters = opts.smoke ? 2 : 6;  // m = 16 either way
   constexpr std::size_t kIciReplication = 2;            // per-node ≈ D·r/m = D/8
@@ -194,6 +195,6 @@ int main(int argc, char** argv) {
                "full replication at ~1/8 the storage; RapidChain degrades when committees "
                "thin out, and message drops stretch ICI retrieval tails (retry rounds) "
                "without sinking availability.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

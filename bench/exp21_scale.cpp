@@ -95,6 +95,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: the measured ratio stays ~25% at every tier (it is a "
                "property of m and k_rc, not N), availability stays 1.000 with all nodes "
                "online, and rss/node falls with N as shared state amortises.\n";
-  finish_report(report, sizes.back());
+  finish_report(report, opts, sizes.back());
   return 0;
 }

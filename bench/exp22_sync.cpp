@@ -43,7 +43,7 @@ JoinerState capture_state(const core::IciNetwork& net, cluster::NodeId joiner) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_bench_options(argc, argv, "exp22_sync");
+  const BenchOptions opts = parse_bench_options(argc, argv, "exp22_sync", kStoreFlags);
   const std::size_t kNodes = opts.smoke ? 40 : 120;
   const std::size_t kClusters = opts.smoke ? 2 : 6;
   constexpr std::size_t kTxs = 40;
@@ -160,6 +160,6 @@ int main(int argc, char** argv) {
   // the artifact carries the summed backend instrumentation the schema
   // checker requires of disk captures.
   add_store_counters(report, store_totals);
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

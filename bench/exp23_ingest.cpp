@@ -56,7 +56,8 @@ CellResult run_cell(std::string_view strategy_name, const core::StrategyConfig& 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_bench_options(argc, argv, "exp23_ingest");
+  const BenchOptions opts = parse_bench_options(argc, argv, "exp23_ingest",
+                                                kSeedFlags | kFaultFlags | kIngestFlags);
   const std::size_t kUsers = opts.smoke ? 2'000 : 100'000;
   const std::size_t kNodes = opts.smoke ? 24 : 48;
   const std::size_t kGroups = opts.smoke ? 2 : 4;
@@ -278,6 +279,6 @@ int main(int argc, char** argv) {
                "the excess and the p99 stretches toward the queueing limit. Pruned "
                "commits instantly (no dissemination), so its latency floor is the batch "
                "cadence itself.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

@@ -22,7 +22,7 @@ using namespace ici;
 using namespace ici::bench;
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_bench_options(argc, argv, "exp24_coldstart");
+  const BenchOptions opts = parse_bench_options(argc, argv, "exp24_coldstart", kStoreFlags);
   const std::size_t kNodes = opts.smoke ? 40 : 120;
   const std::size_t kClusters = opts.smoke ? 2 : 6;  // m = 20
   const std::size_t kBlocks = opts.smoke ? 25 : 200;
@@ -95,6 +95,6 @@ int main(int argc, char** argv) {
                "schedule does not depend on the backend); the disk rows pay the simulated "
                "cold-read and append times in bootstrap and retrieval latency, and the "
                "cold/warm split shows which fetches actually touched the segment log.\n";
-  finish_report(report, kNodes);
+  finish_report(report, opts, kNodes);
   return 0;
 }

@@ -40,9 +40,8 @@ class PrunedNode {
   [[nodiscard]] const BlockStore& store() const { return store_; }
   [[nodiscard]] const UtxoSet& utxo() const { return utxo_; }
 
-  /// Serialized size of the UTXO snapshot a syncing peer would download:
-  /// entries of outpoint (36) + value (8) + recipient (32).
-  [[nodiscard]] std::uint64_t snapshot_bytes() const { return utxo_.size() * (36 + 8 + 32); }
+  /// Serialized size of the UTXO snapshot a syncing peer would download.
+  [[nodiscard]] std::uint64_t snapshot_bytes() const { return utxo_.size() * kUtxoEntryBytes; }
 
   /// Total persisted bytes: headers + windowed bodies + UTXO snapshot.
   [[nodiscard]] std::uint64_t storage_bytes() const {

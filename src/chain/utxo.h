@@ -15,6 +15,10 @@ struct UtxoEntry {
   bool is_coinbase = false;
 };
 
+/// Bytes one UTXO entry costs in the storage accounting: outpoint (32-byte
+/// txid + 4-byte index), 8-byte amount and 32-byte owner.
+inline constexpr std::uint64_t kUtxoEntryBytes = 36 + 8 + 32;
+
 class UtxoSet {
  public:
   [[nodiscard]] std::optional<UtxoEntry> find(const OutPoint& op) const;

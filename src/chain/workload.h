@@ -85,7 +85,8 @@ struct TrafficConfig {
   /// so the head of the Zipf can actually sustain its share of the load.
   std::size_t hot_account_count = 16;
   std::size_t hot_account_outputs = 16;
-  /// Genesis outputs per ordinary account.
+  /// Genesis outputs per ordinary account. Test seam: only tests set this
+  /// (small fixtures fund their few users with several outputs each).
   std::size_t outputs_per_user = 1;
   /// Per-window burst lottery: with probability burst_prob the window's
   /// rate is multiplied by kBurstFactor (4, workload.cpp).

@@ -128,31 +128,37 @@ bool FlagParser::parse(int argc, const char* const* argv, std::string* error) {
   return true;
 }
 
-void add_bench_flags(FlagParser& parser, BenchOptions* opts) {
+void add_bench_flags(FlagParser& parser, BenchOptions* opts, unsigned groups) {
   parser.add_bool("smoke", &opts->smoke,
                   "tiny configuration for CI (same tables, same BENCH_*.json schema)");
   parser.add_uint("threads", &opts->threads,
                   "worker-pool lanes for the parallel hot paths (0 = hardware "
                   "concurrency; --smoke pins 2)");
-  parser.add_uint("seed", &opts->seed, "deterministic seed");
-  parser.add_string("fault-plan", &opts->fault_plan,
-                    "fault-injection spec, e.g. seed=7,crash=0.3,drop=0.1 "
-                    "(see docs/FAULTS.md; empty = faults disabled)");
-  parser.add_double("tx-rate", &opts->tx_rate,
-                    "offered client load in tx/s of sim time for ingest-driven "
-                    "runs (0 = binary default; docs/INGEST.md)");
-  parser.add_uint("mempool-cap", &opts->mempool_cap,
-                  "mempool capacity for ingest-driven runs, lowest-fee-first "
-                  "eviction when full (0 = binary default)");
-  parser.add_string("store", &opts->store,
-                    "body-persistence backend: mem keeps bodies in memory, disk "
-                    "uses log-structured segment files (docs/STORAGE.md)");
-  parser.add_uint("io-write-us", &opts->io_write_us,
-                  "simulated service time of one block append with --store disk "
-                  "(µs of sim time)");
-  parser.add_uint("io-read-us", &opts->io_read_us,
-                  "simulated service time of one cold block read with --store "
-                  "disk (µs of sim time)");
+  if ((groups & kSeedFlags) != 0) parser.add_uint("seed", &opts->seed, "deterministic seed");
+  if ((groups & kFaultFlags) != 0) {
+    parser.add_string("fault-plan", &opts->fault_plan,
+                      "fault-injection spec, e.g. seed=7,crash=0.3,drop=0.1 "
+                      "(see docs/FAULTS.md; empty = faults disabled)");
+  }
+  if ((groups & kIngestFlags) != 0) {
+    parser.add_double("tx-rate", &opts->tx_rate,
+                      "offered client load in tx/s of sim time for ingest-driven "
+                      "runs (0 = binary default; docs/INGEST.md)");
+    parser.add_uint("mempool-cap", &opts->mempool_cap,
+                    "mempool capacity for ingest-driven runs, lowest-fee-first "
+                    "eviction when full (0 = binary default)");
+  }
+  if ((groups & kStoreFlags) != 0) {
+    parser.add_string("store", &opts->store,
+                      "body-persistence backend: mem keeps bodies in memory, disk "
+                      "uses log-structured segment files (docs/STORAGE.md)");
+    parser.add_uint("io-write-us", &opts->io_write_us,
+                    "simulated service time of one block append with --store disk "
+                    "(µs of sim time)");
+    parser.add_uint("io-read-us", &opts->io_read_us,
+                    "simulated service time of one cold block read with --store "
+                    "disk (µs of sim time)");
+  }
 }
 
 std::size_t apply_bench_options(const BenchOptions& opts) {
@@ -164,10 +170,11 @@ std::size_t apply_bench_options(const BenchOptions& opts) {
 
 BenchOptions parse_bench_options_or_exit(int argc, const char* const* argv,
                                          const std::string& program,
-                                         const std::string& description) {
+                                         const std::string& description,
+                                         unsigned groups) {
   BenchOptions opts;
   FlagParser parser(program, description);
-  add_bench_flags(parser, &opts);
+  add_bench_flags(parser, &opts, groups);
   std::string error;
   if (!parser.parse(argc, argv, &error)) {
     if (error.empty()) {  // --help

@@ -54,14 +54,13 @@ class FlagParser {
 
 /// Command-line contract shared by every experiment binary and scenario
 /// tool: `--smoke` runs a tiny configuration (CTest exercises the
-/// BENCH_*.json path this way), `--threads N` sizes the global worker pool
-/// (0 = hardware concurrency; --smoke pins 2 unless --threads is explicit),
-/// `--seed` feeds the deterministic generators, and `--fault-plan SPEC`
-/// installs a sim::FaultPlan (see docs/FAULTS.md; empty = faults disabled;
-/// `crash=F` alone is churn). A new shared flag registers once in
-/// add_bench_flags instead of in every binary. The SIMD dispatch tier is
-/// not a flag: it comes from the ICI_CPU environment variable
-/// (common/cpudispatch.h).
+/// BENCH_*.json path this way) and `--threads N` sizes the global worker pool
+/// (0 = hardware concurrency; --smoke pins 2 unless --threads is explicit).
+/// Every other shared flag belongs to a BenchFlags group that a binary
+/// registers only if it reads it, so a flag it would ignore is rejected as
+/// unknown. Fields of an unregistered group keep their defaults. The SIMD
+/// dispatch tier is not a flag: it comes from the ICI_CPU environment
+/// variable (common/cpudispatch.h).
 struct BenchOptions {
   bool smoke = false;
   std::uint64_t threads = 0;  // 0 = hardware concurrency
@@ -83,18 +82,28 @@ struct BenchOptions {
   std::uint64_t io_read_us = 150;
 };
 
-/// Registers the shared bench flags on `parser`, bound to `*opts`.
-void add_bench_flags(FlagParser& parser, BenchOptions* opts);
+/// Optional shared flag groups, OR-ed into the `groups` argument below.
+enum BenchFlags : unsigned {
+  kSeedFlags = 1u << 0,    // --seed
+  kFaultFlags = 1u << 1,   // --fault-plan
+  kIngestFlags = 1u << 2,  // --tx-rate, --mempool-cap
+  kStoreFlags = 1u << 3,   // --store, --io-write-us, --io-read-us
+};
+
+/// Registers --smoke, --threads and the named `groups` on `parser`, bound
+/// to `*opts`.
+void add_bench_flags(FlagParser& parser, BenchOptions* opts, unsigned groups = 0);
 
 /// Applies the parsed options (worker-pool lanes). Returns the lane count in
 /// effect.
 std::size_t apply_bench_options(const BenchOptions& opts);
 
-/// One-call helper for bench main(): registers the shared flags, parses
-/// argv (usage + exit 0 on --help, error + exit 2 on failure), applies the
-/// options, and returns them.
+/// One-call helper for bench main(): registers the shared flags of
+/// `groups`, parses argv (usage + exit 0 on --help, error + exit 2 on
+/// failure), applies the options, and returns them.
 [[nodiscard]] BenchOptions parse_bench_options_or_exit(int argc, const char* const* argv,
                                                        const std::string& program,
-                                                       const std::string& description);
+                                                       const std::string& description,
+                                                       unsigned groups = 0);
 
 }  // namespace ici

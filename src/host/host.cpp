@@ -41,7 +41,7 @@ void record_join(metrics::Registry& m, const sync::SyncReport& r) {
 }  // namespace
 
 Host::Host(const HostConfig& cfg) {
-  net_ = std::make_unique<sim::Network>(sim_, cfg.net);
+  net_ = std::make_unique<sim::Network>(sim_);
   if (cfg.sync_serve_rate_bps > 0.0)
     serve_throttle_ = std::make_unique<sync::ServeThrottle>(cfg.sync_serve_rate_bps);
   store_runtime_ = std::make_unique<StoreRuntime>(cfg.store);

@@ -45,7 +45,6 @@ inline constexpr std::size_t kTopologyRegions = 5;
 /// extends it with its protocol's own fields.
 struct HostConfig {
   std::size_t node_count = 64;
-  sim::NetworkConfig net;
   std::uint64_t seed = 1;
   /// Serve-side bulk-sync rate limit per (server, peer) pair in bytes per
   /// second of sim time; 0 disables throttling (--sync-serve-rate).

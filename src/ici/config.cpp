@@ -9,7 +9,6 @@ bool IciConfig::valid(std::string* why) const {
   };
   if (cluster_count == 0) return fail("cluster_count must be > 0");
   if (replication == 0) return fail("replication must be > 0");
-  if (vote_quorum <= 0.0 || vote_quorum > 1.0) return fail("vote_quorum must be in (0, 1]");
   if (clustering != "kmeans" && clustering != "random" && clustering != "grid")
     return fail("clustering must be kmeans|random|grid");
   if (erasure_data + erasure_parity > 255)

@@ -32,9 +32,6 @@ struct IciConfig {
   /// Clustering strategy: "kmeans" (default), "random", or "grid" (D1).
   std::string clustering = "kmeans";
 
-  /// Fraction of online members whose approval commits a block (D4).
-  double vote_quorum = 2.0 / 3.0;
-
   /// Extra full passes over the candidate list after the first exhausts
   /// (retry-with-backoff for lossy networks; E20 enables it under message
   /// drops). 0 = one pass then give up — the fault-free default, which
@@ -44,7 +41,8 @@ struct IciConfig {
   /// When a block's own-cluster holders are all unreachable, fall back to
   /// the storers of other clusters (the network keeps k copies — one per
   /// cluster). Costs a wider-area fetch but turns cluster-local outages
-  /// into latency instead of misses.
+  /// into latency instead of misses. Test seam: only tests set this, to
+  /// reach the fallback-off case (test_ici_fallback).
   bool cross_cluster_fallback = true;
 
   /// Repair may also pull blocks a cluster lost entirely (every local holder

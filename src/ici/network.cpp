@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/thread_pool.h"
-#include "ici/bootstrap.h"
 #include "obs/trace.h"
 
 namespace ici::core {
@@ -24,6 +23,29 @@ std::unique_ptr<cluster::Clusterer> make_clusterer(const std::string& name,
   if (name == "random") return std::make_unique<cluster::RandomClusterer>(seed);
   if (name == "grid") return std::make_unique<cluster::GridClusterer>();
   throw std::invalid_argument("unknown clustering strategy: " + name);
+}
+
+/// Joiner placement: the cluster whose members are nearest on average, the
+/// same latency-aware choice the clustering made for the original
+/// population.
+std::size_t nearest_cluster(const cluster::ClusterDirectory& dir, sim::Coord coord) {
+  std::size_t best_cluster = 0;
+  double best_dist = std::numeric_limits<double>::max();
+  for (std::size_t c = 0; c < dir.cluster_count(); ++c) {
+    double total = 0.0;
+    std::size_t count = 0;
+    for (NodeId id : dir.members(c)) {
+      total += sim::distance(coord, dir.info(id).coord);
+      ++count;
+    }
+    if (count == 0) continue;
+    const double mean = total / static_cast<double>(count);
+    if (mean < best_dist) {
+      best_dist = mean;
+      best_cluster = c;
+    }
+  }
+  return best_cluster;
 }
 
 }  // namespace
@@ -471,7 +493,7 @@ StorageSnapshot IciNetwork::storage_snapshot() const {
     const std::uint64_t bytes = t.body_bytes +
                                 static_cast<std::uint64_t>(t.header_count) *
                                     BlockHeader::kWireSize +
-                                t.shard_bytes + t.utxo_entries * (36 + 8 + 32);
+                                t.shard_bytes + t.utxo_entries * kUtxoEntryBytes;
     stat.add(static_cast<double>(bytes));
     snap.total_bytes += bytes;
   }
@@ -604,7 +626,7 @@ NodeId IciNetwork::add_joiner(sim::Coord coord, std::size_t cluster) {
 }
 
 sim::NodeId IciNetwork::add_sync_joiner(sim::Coord coord) {
-  return add_joiner(coord, Bootstrapper::nearest_cluster(*directory_, coord));
+  return add_joiner(coord, nearest_cluster(*directory_, coord));
 }
 
 std::vector<sim::NodeId> IciNetwork::join_candidates(sim::NodeId joiner,

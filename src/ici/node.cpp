@@ -38,6 +38,9 @@ Bytes vote_payload(const Hash256& block_hash, bool approve, const Hash256& slice
 // microseconds while still splitting paper-sized slices across workers.
 constexpr std::size_t kSliceVerifyGrain = 8;
 
+/// Fraction of online members whose approval commits a block (D4).
+constexpr double kVoteQuorum = 2.0 / 3.0;
+
 /// Head gives up waiting for votes after this much simulated time and
 /// commits/aborts on what it has.
 constexpr sim::SimTime kVerifyTimeoutUs = 30'000'000;
@@ -252,8 +255,7 @@ void IciNode::start_cluster_verification(std::shared_ptr<const Block> block) {
     // denominator). An unresolved challenge at the hard deadline is
     // treated as unproven fraud: too risky to commit, abort.
     const auto need = static_cast<std::size_t>(std::ceil(
-        ctx_.config().vote_quorum *
-        static_cast<double>(std::max<std::size_t>(pv.votes_received, 1))));
+        kVoteQuorum * static_cast<double>(std::max<std::size_t>(pv.votes_received, 1))));
     if (pv.expected > pv.votes_received) {
       ctx_.metrics().counter("verify.votes_missing").inc(pv.expected - pv.votes_received);
     }
@@ -306,8 +308,8 @@ void IciNode::maybe_decide(const Hash256& block_hash) {
   if (it == verifying_.end() || it->second.decided) return;
   PendingVerify& pv = it->second;
   if (pv.challenges_pending > 0) return;  // fraud check in flight
-  const auto need = static_cast<std::size_t>(
-      std::ceil(ctx_.config().vote_quorum * static_cast<double>(pv.expected)));
+  const auto need =
+      static_cast<std::size_t>(std::ceil(kVoteQuorum * static_cast<double>(pv.expected)));
   // Commit only once every online member has spoken (or, via the timeout
   // path, stopped being waited for): a still-outstanding vote may carry a
   // fraud challenge, and honest detection is typically the slowest vote

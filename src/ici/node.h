@@ -149,10 +149,10 @@ class alignas(64) IciNode final : public sim::INode, public sync::Peer<IciNode> 
   void index_tx(const Hash256& txid, const Hash256& block_hash, std::uint64_t height);
 
   /// Total persistent footprint: headers + bodies + erasure shards + this
-  /// node's slice of the cluster UTXO set (entries of outpoint 36 + value
-  /// 8 + recipient 32 bytes, matching PrunedNode::snapshot_bytes).
+  /// node's slice of the cluster UTXO set (kUtxoEntryBytes per entry, as in
+  /// PrunedNode::snapshot_bytes).
   [[nodiscard]] std::uint64_t storage_bytes() const {
-    return store_.total_bytes() + shard_store_.total_bytes() + shard_.size() * (36 + 8 + 32);
+    return store_.total_bytes() + shard_store_.total_bytes() + shard_.size() * kUtxoEntryBytes;
   }
 
   void set_fault(FaultProfile profile) { fault_ = profile; }

@@ -34,7 +34,8 @@ struct AcceptorConfig {
   std::size_t batch_budget = 512;
   /// Batch cadence in simulated µs.
   std::uint64_t batch_interval_us = 50'000;
-  /// Recently-seen txids remembered for dedup.
+  /// Recently-seen txids remembered for dedup. Test seam: only tests set
+  /// this (1 pushes a confirmed tx past dedup).
   std::size_t dedup_window = 65'536;
   /// Minimum derived fee (inputs − outputs) to pass prescreen.
   Amount min_fee = 0;
@@ -93,7 +94,6 @@ class TxAcceptor {
   /// Suggested client wait (µs until the next batch tick) per backpressure
   /// reject — the deterministic retry-after accounting.
   [[nodiscard]] const Histogram& retry_after_us() const { return retry_after_us_; }
-  [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
   /// Mean batch fill as a percentage of batch_budget (0 when no batch ran).
   [[nodiscard]] std::uint64_t batch_occupancy_pct() const;
 

@@ -79,13 +79,6 @@ std::vector<LabelAggregate> TraceSink::aggregates() const {
   return out;
 }
 
-const metrics::Distribution* TraceSink::wall_distribution(std::string_view label) const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  const auto it = labels_.find(label);
-  if (it == labels_.end() || it->second.wall.count() == 0) return nullptr;
-  return &it->second.wall;
-}
-
 const metrics::Distribution* TraceSink::sim_distribution(std::string_view label) const {
   const std::lock_guard<std::mutex> lk(mu_);
   const auto it = labels_.find(label);

@@ -65,7 +65,6 @@ class TraceSink {
 
   // Aggregates for every label seen since the last reset(), sorted by label.
   [[nodiscard]] std::vector<LabelAggregate> aggregates() const;
-  [[nodiscard]] const metrics::Distribution* wall_distribution(std::string_view label) const;
   [[nodiscard]] const metrics::Distribution* sim_distribution(std::string_view label) const;
 
   // Drops all samples and the calling thread's span path stack; the sim

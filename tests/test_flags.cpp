@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace ici {
 namespace {
 
@@ -121,6 +123,33 @@ TEST(Flags, HelpReturnsFalseWithEmptyError) {
   std::string err = "sentinel";
   EXPECT_FALSE(run(p, {"--help"}, &err));
   EXPECT_TRUE(err.empty());
+}
+
+TEST(Flags, BenchFlagGroupsRegisterOnlyWhatTheyName) {
+  // A binary that does not read a shared flag must reject it instead of
+  // silently running its default configuration.
+  const std::pair<unsigned, const char*> cases[] = {
+      {kStoreFlags, "--store=disk"}, {kSeedFlags, "--seed=9"}, {kIngestFlags, "--tx-rate=5"}};
+  for (const auto& [group, arg] : cases) {
+    std::string err;
+    BenchOptions base_opts;
+    FlagParser base("t", "t");
+    add_bench_flags(base, &base_opts);
+    EXPECT_FALSE(run(base, {"--smoke", "--threads=1", arg}, &err)) << arg;
+    EXPECT_NE(err.find("unknown flag"), std::string::npos) << arg;
+
+    BenchOptions opts;
+    FlagParser with_group("t", "t");
+    add_bench_flags(with_group, &opts, group);
+    EXPECT_TRUE(run(with_group, {"--smoke", "--threads=1", arg}, &err)) << arg << ": " << err;
+  }
+  BenchOptions opts;
+  FlagParser p("t", "t");
+  add_bench_flags(p, &opts, kStoreFlags | kSeedFlags | kIngestFlags);
+  EXPECT_TRUE(run(p, {"--store=disk", "--seed=9", "--tx-rate=5"}));
+  EXPECT_EQ(opts.store, "disk");
+  EXPECT_EQ(opts.seed, 9u);
+  EXPECT_DOUBLE_EQ(opts.tx_rate, 5.0);
 }
 
 TEST(Flags, UsageListsFlagsAndDefaults) {

@@ -1,9 +1,8 @@
-#include "ici/bootstrap.h"
+#include "ici/network.h"
 
 #include <gtest/gtest.h>
 
 #include "chain/workload.h"
-#include "ici/network.h"
 
 namespace ici::core {
 namespace {

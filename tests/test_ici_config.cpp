@@ -25,16 +25,6 @@ TEST(IciConfig, RejectsZeroReplication) {
   EXPECT_FALSE(cfg.valid());
 }
 
-TEST(IciConfig, RejectsBadQuorum) {
-  IciConfig cfg;
-  cfg.vote_quorum = 0.0;
-  EXPECT_FALSE(cfg.valid());
-  cfg.vote_quorum = 1.5;
-  EXPECT_FALSE(cfg.valid());
-  cfg.vote_quorum = 1.0;
-  EXPECT_TRUE(cfg.valid());
-}
-
 TEST(IciConfig, RejectsUnknownClustering) {
   IciConfig cfg;
   cfg.clustering = "voronoi";

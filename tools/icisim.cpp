@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   flags.add_uint("sync-peers", &sync_peers, "bulk-sync parallel pull peers");
   flags.add_double("sync-serve-rate", &sync_serve_rate,
                    "serve-side bulk-sync rate limit in bytes/s of sim time (0 = off)");
-  add_bench_flags(flags, &opts);  // --smoke/--threads/--seed/--fault-plan
+  add_bench_flags(flags, &opts, kSeedFlags | kFaultFlags | kStoreFlags);
 
   std::string error;
   if (!flags.parse(argc, argv, &error)) {
